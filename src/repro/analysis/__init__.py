@@ -10,8 +10,9 @@ package has three layers:
   *analyzer* checks call sites against it, so both enforcement layers
   share a single source of truth.
 * :mod:`repro.analysis.passes` — the rules.  TM001-TM004 are the
-  original sanitizer lint (PR 1), migrated; TM101+ are the contract
-  passes (determinism, event/metric schema, memory effects).
+  scoped source rules (validator determinism, mutable defaults, backend
+  lock discipline, frozen records); TM101+ are the contract passes
+  (determinism, event/metric schema, memory effects).
 * :mod:`repro.analysis.framework` — the driver: per-file analysis with
   inline suppressions, baseline filtering, and a result cache keyed on
   the repo source fingerprint.

@@ -5,8 +5,7 @@ mechanisms silence a finding without fixing it:
 
 * **inline suppression** — a comment on the offending line.
   ``# tm: ignore[TM101]`` suppresses the named rule(s) (comma
-  separated); ``# tm: ignore`` suppresses every rule on the line; the
-  legacy spelling ``# tm-lint: ignore`` is honored as suppress-all.
+  separated); ``# tm: ignore`` suppresses every rule on the line.
   Every suppression is expected to carry a justification in the
   surrounding code (docs/ANALYSIS.md).
 * **baseline** — a checked-in JSON file of known findings that are
@@ -33,7 +32,7 @@ BASELINE_VERSION = 1
 #: the default checked-in baseline filename, looked up in the CWD.
 DEFAULT_BASELINE = "analysis-baseline.json"
 
-_SUPPRESS_ALL_MARKS = ("# tm: ignore", "# tm-lint: ignore")
+_SUPPRESS_ALL_MARK = "# tm: ignore"
 _SUPPRESS_RULES_RE = re.compile(r"#\s*tm:\s*ignore\[([A-Za-z0-9,\s-]+)\]")
 
 
@@ -69,14 +68,13 @@ def suppressed_rules(line_text: str) -> Optional[Set[str]]:
 
     Returns None (nothing suppressed), a set of rule ids, or the
     sentinel :data:`ALL_RULES` (empty set means *all*: a bare
-    ``# tm: ignore``/``# tm-lint: ignore`` suppresses every rule).
+    ``# tm: ignore`` suppresses every rule).
     """
     match = _SUPPRESS_RULES_RE.search(line_text)
     if match is not None:
         return {rule.strip().upper() for rule in match.group(1).split(",") if rule.strip()}
-    for mark in _SUPPRESS_ALL_MARKS:
-        if mark in line_text:
-            return set()  # empty set = suppress all rules on the line
+    if _SUPPRESS_ALL_MARK in line_text:
+        return set()  # empty set = suppress all rules on the line
     return None
 
 

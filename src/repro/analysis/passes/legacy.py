@@ -1,9 +1,8 @@
 """TM001-TM004: the original sanitizer lint rules, on the pass framework.
 
-These four rules began life in :mod:`repro.sanitizer.lint` (PR 1) and
-moved here verbatim in semantics — same scoping, same messages — so
-the deprecated ``repro lint`` alias reports byte-compatible findings.
-See that module's docstring history for the rationale of each rule:
+These four rules began life as the sanitizer's standalone AST lint and
+run on the analyzer framework like every other rule (``repro analyze
+--rules TM001-TM004`` selects exactly them):
 
 ``TM001`` **determinism (scoped)** — no ambient entropy or wall-clock
     reads inside ``core/``, ``hw/``, ``cc/``, ``faults/``.

@@ -136,6 +136,11 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
 #: the bus's kind vocabulary (insertion order of the schema table).
 EVENT_KINDS: Tuple[str, ...] = tuple(EVENT_SCHEMAS)
 
+#: the transaction-history subset, in the vocabulary of
+#: :class:`repro.semantics.EventKind`: what the history recorder, the
+#: sanitizer's subscribers and its event-log records consume.
+HISTORY_KINDS: Tuple[str, ...] = ("begin", "read", "write", "commit", "abort")
+
 #: union of every declared payload field — what a ``event.data[...]``
 #: consumer may legally index.
 PAYLOAD_FIELDS: FrozenSet[str] = frozenset(

@@ -56,6 +56,7 @@ from .exec import (
     default_runner,
     write_bench_stamp,
 )
+from .exec.stampfile import source_date_epoch
 from .faults import BUILTIN_SCHEDULES
 from .stamp import ALL_WORKLOADS, CONTENTION_VARIANTS, EXTRA_WORKLOADS
 
@@ -313,6 +314,13 @@ def _cmd_fig10(args) -> int:
     # never the simulated experiments, which run on virtual time.
     import time  # tm: ignore[TM101]
 
+    if args.stamp_json:
+        # Refuse a malformed pin before the sweep, not after it.
+        try:
+            source_date_epoch()
+        except ValueError as bad:
+            print(f"fig10: {bad}", file=sys.stderr)
+            return 2
     workloads = [WORKLOADS[name] for name in args.workloads] if args.workloads else ALL_WORKLOADS
     cache = ResultCache(args.cache) if args.cache else None
     supervised = _supervised_runner(args, cache)
@@ -753,27 +761,6 @@ def _cmd_analyze(args) -> int:
     return 1 if new else 0
 
 
-def _cmd_lint(args) -> int:
-    # Deprecated alias: the lint rules migrated onto the analyzer
-    # framework; this keeps byte-compatible output and exit codes.
-    from .analysis import analyze_paths, parse_rules
-
-    print(
-        "repro lint is deprecated; use "
-        "`repro analyze --rules TM001-TM004` (see docs/ANALYSIS.md)",
-        file=sys.stderr,
-    )
-    try:
-        errors, _ = analyze_paths(args.paths, parse_rules("TM001-TM004"))
-    except FileNotFoundError as missing:
-        print(missing, file=sys.stderr)
-        return 2
-    for error in errors:
-        print(error)
-    print(f"{len(errors)} lint error(s) in {', '.join(args.paths)}")
-    return 1 if errors else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
@@ -1037,13 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoize results at PATH keyed on the repo source fingerprint",
     )
     pa.set_defaults(func=_cmd_analyze)
-
-    pl = sub.add_parser(
-        "lint",
-        help="deprecated alias for `analyze --rules TM001-TM004`",
-    )
-    pl.add_argument("paths", nargs="*", default=["src"])
-    pl.set_defaults(func=_cmd_lint)
 
     return parser
 

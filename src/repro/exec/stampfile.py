@@ -29,6 +29,24 @@ from .spec import ExperimentSpec
 STAMP_VERSION = 1
 
 
+def source_date_epoch() -> Optional[int]:
+    """The pinned SOURCE_DATE_EPOCH, or None when it is unset.
+
+    Per the reproducible-builds specification the value must be a
+    plain decimal count of seconds; anything else raises ValueError
+    rather than silently pinning the stamp to some other epoch.
+    """
+    pinned = os.environ.get("SOURCE_DATE_EPOCH")
+    if pinned is None:
+        return None
+    if not (pinned.isascii() and pinned.isdigit()):
+        raise ValueError(
+            f"SOURCE_DATE_EPOCH={pinned!r} is malformed: expected a "
+            "non-negative integer count of seconds since the Unix epoch"
+        )
+    return int(pinned)
+
+
 def _provenance_clock(wall_clock_s: float):
     """(generated_at, wall_clock_s), honoring SOURCE_DATE_EPOCH.
 
@@ -36,12 +54,8 @@ def _provenance_clock(wall_clock_s: float):
     functions of it alone — the kill/resume bit-identity guarantee
     (and the CI crash-smoke byte comparison) rests on this.
     """
-    pinned = os.environ.get("SOURCE_DATE_EPOCH")
-    if pinned is not None:
-        try:
-            epoch = int(pinned)
-        except ValueError:
-            epoch = 0
+    epoch = source_date_epoch()
+    if epoch is not None:
         # Not an ambient read: a pure function of the pinned epoch.
         stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch))  # tm: ignore[TM101]
         return stamp, 0.0

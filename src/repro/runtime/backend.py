@@ -80,11 +80,6 @@ class TMBackend:
         self.driver = None
         self._scale = 1.0
 
-    # -- deprecated alias (pre-Driver spelling) -------------------------
-    @property
-    def simulator(self):
-        return self.driver
-
     # ------------------------------------------------------------------
     def attach(self, driver) -> None:
         """Wire the backend to a :class:`repro.runtime.driver.Driver`
@@ -92,12 +87,7 @@ class TMBackend:
         self.driver = driver
         self.memory = driver.memory
         self.stats = driver.stats
-        if hasattr(driver, "step_cost"):
-            self._scale = driver.step_cost(1.0, self.metadata_footprint)
-        else:  # bare fakes exposing only the attribute surface
-            self._scale = driver.cost_model.compute_scale(
-                driver.n_threads, self.metadata_footprint
-            )
+        self._scale = driver.step_cost(1.0, self.metadata_footprint)
 
     def scaled(self, ns: float) -> float:
         """A CPU-side cost under the current SMT regime."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..analysis.registry import HISTORY_KINDS
 from ..semantics import History
 from ..semantics.serializability import assert_serializable, explain_cycle
 from .backend import TMBackend
@@ -45,8 +46,6 @@ class HistoryRecorder:
     can only *under*-report anomalies, never invent them, so a failing
     oracle always means a real bug.
     """
-
-    KINDS = ("begin", "read", "write", "commit", "abort")
 
     def __init__(self) -> None:
         self.history = History()
@@ -66,7 +65,7 @@ class HistoryRecorder:
         self.last_read_version: Optional[int] = None
 
     def install(self, bus: EventBus) -> None:
-        bus.subscribe(self._on_event, kinds=self.KINDS)
+        bus.subscribe(self._on_event, kinds=HISTORY_KINDS)
 
     # ------------------------------------------------------------------
     def attempt_of(self, tid: int) -> Optional[int]:

@@ -167,9 +167,8 @@ class RococoTMBackend(TMBackend):
         # present) the chaos engine publish their transitions on the
         # run's bus.  Emissions are wants()-gated, so with no tracer
         # or metrics collector attached this costs nothing.
-        bus = getattr(driver, "bus", None)  # tolerate bare fakes
-        self.degradation.bus = bus
-        self.engine.bus = bus
+        self.degradation.bus = driver.bus
+        self.engine.bus = driver.bus
 
     # ------------------------------------------------------------------
     def begin(self, tid: int, now: float) -> float:
@@ -319,8 +318,8 @@ class RococoTMBackend(TMBackend):
             raise TransactionAborted("fpga-unavailable", at_ns=outage.at_ns) from None
         self.stats.validation_ns += response.ready_ns - now
         self.stats.validations += 1
-        bus = getattr(self.driver, "bus", None)
-        if bus is not None and bus.wants("validate"):
+        bus = self.driver.bus
+        if bus.wants("validate"):
             self._publish_validation(bus, tid, request, response)
         if not response.verdict.committed:
             self._mirror_phantom_slots(txn)
@@ -581,8 +580,8 @@ class RococoTMBackend(TMBackend):
         if counts:
             self.stats.faults_injected.update(counts)
         self.stats.link_retries += getattr(self.engine, "link_retries", 0)
-        bus = getattr(self.driver, "bus", None)
-        if bus is not None and bus.wants("mask_cache"):
+        bus = self.driver.bus
+        if bus.wants("mask_cache"):
             # End-of-run mask-cache effectiveness, mirrored from the
             # shared SignatureConfig (one event per shard).  Never
             # enters RunStats, so stamps stay byte-identical whether

@@ -29,9 +29,9 @@ entry that surfaces first is *the* unique minimum over runnable
 threads.  Lazy invalidation cannot perturb the order: stale entries are
 skipped regardless of where they sort, and every runnable thread's
 valid entry carries its current clock by construction.  The kernel is
-therefore schedule-preserving by construction, which the bit-identity
-gate (``tests/runtime/test_sched.py``, CI ``sched-identity``) enforces
-run-for-run against the legacy scan kept behind ``REPRO_SCHED=scan``.
+therefore schedule-preserving by construction; the committed golden
+digests and stamps (``tests/golden/golden.json``) pin the schedules it
+produced on the day the linear scan was retired.
 
 The kernel also keeps the deadlock check O(1): ``n_live`` and
 ``n_parked`` counters replace the old per-wakeup sweep over all

@@ -18,10 +18,9 @@ The *pick the next thread* decision lives in
 :class:`repro.runtime.sched.SchedulerKernel` — an indexed min-heap
 keyed by ``(clock, tid)`` with lazy invalidation, O(log T) per step
 where the original inner loop rebuilt the runnable list and scanned
-all T threads per event.  The kernel is schedule-preserving by
-construction (same tie-break key), which the bit-identity gate
-enforces against the legacy scan scheduler, kept for one release
-behind ``REPRO_SCHED=scan``.
+all T threads per event.  The tie-break key makes every run a pure
+function of its programs and seed; tests/golden/golden.json pins the
+resulting stamps byte for byte.
 
 Backends program against the narrow :class:`repro.runtime.driver.
 Driver` protocol — ``step_cost`` / ``park`` / ``wake_at`` / ``emit``
@@ -37,7 +36,6 @@ subscribers; nothing else observes the driver.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, NoReturn, Optional, Sequence
@@ -59,16 +57,6 @@ from .stats import RunStats
 
 #: cost of the allocator fast path (a bump pointer), ns.
 ALLOC_NS = 4.0
-
-#: env knob selecting the scheduler implementation: ``scan`` re-enables
-#: the legacy O(T)-per-step linear scan (kept for one release as the
-#: bit-identity reference and escape hatch), anything else — including
-#: unset — uses the heap kernel.  See docs/PERF.md.
-SCHED_ENV = "REPRO_SCHED"
-
-
-def _sched_impl() -> str:
-    return os.environ.get(SCHED_ENV, "kernel") or "kernel"
 
 
 @dataclass
@@ -136,7 +124,7 @@ class Simulator:
         StatsCollector(self.stats).install(self.bus)
         self._threads: List[_Thread] = []
         #: the scheduling kernel of the current run (None before the
-        #: run starts and on the legacy ``REPRO_SCHED=scan`` path).
+        #: run starts).
         self._kernel: Optional[SchedulerKernel] = None
         backend.attach(self)
         #: Per-thread Work-op scale, cached off the per-step path
@@ -176,8 +164,7 @@ class Simulator:
         thread.clock = max(thread.clock, at_ns)
         if self.bus.wants("wake"):
             self.bus.emit(SimEvent("wake", tid, thread.clock))
-        if self._kernel is not None:
-            self._kernel.wake(tid, thread.clock, coalesced)
+        self._kernel.wake(tid, thread.clock, coalesced)
 
     def wants(self, kind: str) -> bool:
         return self.bus.wants(kind)
@@ -186,10 +173,6 @@ class Simulator:
         """wants()-gated publish — the backend-facing emission path."""
         if self.bus.wants(event.kind):
             self.bus.emit(event)
-
-    # -- deprecated alias (pre-Driver spelling) -------------------------
-    def wake(self, tid: int, at_ns: float) -> None:
-        self.wake_at(tid, at_ns)
 
     # ------------------------------------------------------------------
     def _hook(self, fn, *args):
@@ -219,18 +202,13 @@ class Simulator:
             )
             for tid, make in enumerate(programs)
         ]
-        self._kernel = None
-        if _sched_impl() == "scan":
-            self._run_scan()
-        else:
-            self._run_kernel()
+        self._run_kernel()
         self.stats.makespan_ns = max(t.clock for t in self._threads)
         self._hook(self.backend.run_finished)
-        kernel = self._kernel
-        if kernel is not None and self.bus.wants("sched"):
+        if self.bus.wants("sched"):
             self.bus.emit(
                 SimEvent(
-                    "sched", -1, self.stats.makespan_ns, data=kernel.snapshot()
+                    "sched", -1, self.stats.makespan_ns, data=self._kernel.snapshot()
                 )
             )
         return self.stats
@@ -270,32 +248,6 @@ class Simulator:
                 reschedule(tid, thread.clock)
             # parked: kernel.park already ran inside _park().
 
-    def _run_scan(self) -> None:
-        """The legacy O(T)-per-step linear scan (``REPRO_SCHED=scan``).
-
-        Kept for one release as the bit-identity reference the kernel
-        is gated against; scheduled for removal once the gate has aged
-        through a release.  Must never diverge from the kernel path in
-        anything but complexity.
-        """
-        steps = 0
-        bus = self.bus
-        while True:
-            runnable = [
-                t for t in self._threads if not t.done and not t.parked
-            ]
-            if not runnable:
-                if any(t.parked for t in self._threads):
-                    raise RuntimeError(self._deadlock_message())
-                break
-            if steps >= self.max_steps:
-                raise RuntimeError(self._livelock_message(steps))
-            thread = min(runnable, key=lambda t: (t.clock, t.tid))
-            if bus.wants("step"):
-                bus.emit(SimEvent("step", thread.tid, thread.clock))
-            self._step(thread)
-            steps += 1
-
     # ------------------------------------------------------------------
     def _livelock_message(self, steps: int) -> str:
         return (
@@ -328,8 +280,7 @@ class Simulator:
             self.bus.emit(
                 SimEvent("park", thread.tid, thread.clock, cause=reason)
             )
-        if self._kernel is not None:
-            self._kernel.park(thread.tid)
+        self._kernel.park(thread.tid)
 
     # ------------------------------------------------------------------
     def _step(self, thread: _Thread) -> None:

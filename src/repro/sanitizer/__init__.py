@@ -1,4 +1,4 @@
-"""The TM sanitizer suite: dynamic execution checking + static lint.
+"""The TM sanitizer suite: dynamic execution checking.
 
 The paper's argument (§3 axioms, §4 reachability validation) rests on
 every backend committing *only* serializable histories.  This package
@@ -16,34 +16,31 @@ engines actually commit:
   races.  Also the differential mode (same workload, two backends).
 * :mod:`repro.sanitizer.tracecheck` — the same oracle replay for the
   trace-level CC algorithms of :mod:`repro.cc`.
-* :mod:`repro.sanitizer.lint` — the repo-specific AST lint pass
-  (determinism, mutable defaults, backend lock discipline, frozen
-  trace/view dataclasses).
 * :mod:`repro.sanitizer.selfcheck` — known-bad fixtures that every
   check must catch; ``repro sanitize --self-check`` runs them.
 * :mod:`repro.sanitizer.pytest_plugin` — the ``tm_sanitizer`` fixture.
 
-CLI: ``repro sanitize`` and ``repro lint`` (see :mod:`repro.cli`).
+The repo-specific AST rules (TM001-TM004: determinism, mutable
+defaults, backend lock discipline, frozen trace/view dataclasses) are
+analyzer passes in :mod:`repro.analysis.passes.legacy`.
+
+CLI: ``repro sanitize`` and ``repro analyze`` (see :mod:`repro.cli`).
 Docs: ``docs/SANITIZER.md``.
 """
 
 from .dynamic import SanitizerBackend, diff_backends, run_sanitized, sanitize_stamp
 from .events import EventLog, TxEvent
-from .lint import LintError, lint_paths, lint_source
 from .report import SanitizeReport, Violation
 from .tracecheck import check_trace_algorithm, record_trace_history
 
 __all__ = [
     "EventLog",
-    "LintError",
     "SanitizeReport",
     "SanitizerBackend",
     "TxEvent",
     "Violation",
     "check_trace_algorithm",
     "diff_backends",
-    "lint_paths",
-    "lint_source",
     "record_trace_history",
     "run_sanitized",
     "sanitize_stamp",

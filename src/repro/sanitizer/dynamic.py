@@ -38,15 +38,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..analysis.registry import HISTORY_KINDS
 from ..runtime import Memory, Simulator, TMBackend
 from ..runtime.events import SimEvent
 from ..runtime.recording import RecordingBackend
 from ..semantics.serializability import explain_cycle, replay_serially, serialization_witness
 from .events import EventLog, TxEvent
 from .report import SanitizeReport, Violation
-
-#: the transitions the sanitizer's subscribers care about.
-_KINDS = ("begin", "read", "write", "commit", "abort")
 
 
 class SanitizerBackend(RecordingBackend):
@@ -74,9 +72,9 @@ class SanitizerBackend(RecordingBackend):
         # phase boundary), and the log handler runs *after* it (so the
         # observed read version is already computed).
         self._bus = simulator.bus
-        simulator.bus.subscribe(self._pre_event, kinds=_KINDS)
+        simulator.bus.subscribe(self._pre_event, kinds=HISTORY_KINDS)
         super().attach(simulator)  # HistoryRecorder subscribes here.
-        simulator.bus.subscribe(self._log_event, kinds=_KINDS)
+        simulator.bus.subscribe(self._log_event, kinds=HISTORY_KINDS)
         self.memory.subscribe(self._on_direct_store)
 
     # ------------------------------------------------------------------

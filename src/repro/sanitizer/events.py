@@ -22,8 +22,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Iterator, List, Optional
 
-#: Event kinds, in the vocabulary of :class:`repro.semantics.EventKind`.
-KINDS = ("begin", "read", "write", "commit", "abort")
+from ..analysis.registry import HISTORY_KINDS
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class TxEvent:
     cause: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in HISTORY_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
     def to_dict(self) -> dict:

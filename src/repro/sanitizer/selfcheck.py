@@ -13,8 +13,8 @@ instrumentation pipeline and asserts each oracle actually flags them:
   buffered write) must trip the final-memory oracle;
 * ``opacity``         — a zombie read (inconsistent snapshot in an
   aborted attempt) must produce opacity + doomed-read violations;
-* ``lint-rules``      — every AST lint rule must fire on its negative
-  snippet, and the repo's own ``src/repro`` must lint clean;
+* ``lint-rules``      — every TM001-TM004 analyzer rule must fire on
+  its negative snippet, and the repo's own ``src/repro`` must pass them;
 * ``clean-run``       — a correct backend must produce zero violations
   (guards against the sanitizer crying wolf).
 
@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
+from ..analysis.framework import analyze_paths, analyze_source, parse_rules
 from ..runtime import (
+    ManualDriver,
     Memory,
     Read,
     Simulator,
@@ -39,7 +41,6 @@ from ..runtime import (
     Write,
 )
 from .dynamic import SanitizerBackend
-from .lint import lint_paths, lint_source
 
 
 class SelfCheckFailure(AssertionError):
@@ -125,20 +126,6 @@ class _PlainBackend(TMBackend):
 
     def rollback(self, tid: int, now: float, cause: str) -> float:
         return now
-
-
-class _FakeSimulator:
-    """The minimal attach surface for driving the bus by hand."""
-
-    def __init__(self, memory: Memory, n_threads: int = 2):
-        from ..runtime import CostModel, RunStats
-        from ..runtime.events import EventBus
-
-        self.memory = memory
-        self.stats = RunStats(backend="selfcheck", workload="", n_threads=n_threads)
-        self.cost_model = CostModel()
-        self.n_threads = n_threads
-        self.bus = EventBus()
 
 
 # ----------------------------------------------------------------------
@@ -243,9 +230,9 @@ def _check_opacity() -> None:
     memory.store(y, 10)
 
     backend = SanitizerBackend(_PlainBackend())
-    simulator = _FakeSimulator(memory)
-    backend.attach(simulator)
-    bus = simulator.bus
+    driver = ManualDriver(memory, backend_name="selfcheck")
+    backend.attach(driver)
+    bus = driver.bus
 
     bus.emit(SimEvent("begin", 0, 0.0))                    # T1 (attempt 1)
     bus.emit(SimEvent("read", 0, 1.0, addr=x, value=10))   # T1 reads x@initial
@@ -293,19 +280,20 @@ _LINT_NEGATIVES = {
 
 
 def _check_lint_rules(src_root: str = "src/repro") -> None:
+    rules = parse_rules("TM001-TM004")
     for code, (path, source) in _LINT_NEGATIVES.items():
-        errors = lint_source(source, path)
-        if not any(e.code == code for e in errors):
+        findings = analyze_source(source, path, rules)
+        if not any(f.rule == code for f in findings):
             raise SelfCheckFailure(
                 f"lint rule {code} did not fire on its negative fixture "
-                f"({path}); got {errors!r}"
+                f"({path}); got {findings!r}"
             )
     from pathlib import Path
 
     if Path(src_root).is_dir():
-        errors = lint_paths([src_root])
-        if errors:
-            listing = "\n".join(str(e) for e in errors)
+        findings, _ = analyze_paths([src_root], rules)
+        if findings:
+            listing = "\n".join(str(f) for f in findings)
             raise SelfCheckFailure(f"repo sources must lint clean:\n{listing}")
 
 

@@ -1,4 +1,5 @@
-"""The `repro analyze` command and the deprecated `repro lint` alias."""
+"""The `repro analyze` command, and the TM001-TM004 rule set it runs in
+place of the retired `repro lint` alias."""
 
 import json
 from pathlib import Path
@@ -70,23 +71,19 @@ class TestAnalyzeCli:
 
 
 class TestLintAlias:
-    def test_warns_and_stays_compatible(self, capsys):
-        assert main(["lint", str(SRC)]) == 0
-        captured = capsys.readouterr()
-        assert "0 lint error(s)" in captured.out
-        assert "deprecated" in captured.err
+    """``analyze --rules TM001-TM004`` selects what ``repro lint`` ran."""
 
     def test_legacy_rules_only(self, tmp_path, capsys):
         # TM101-only material (entropy outside the TM001 directories)
-        # must NOT fail the legacy alias.
+        # must NOT fail the TM001-TM004 selection.
         bad = tmp_path / "mod.py"
         bad.write_text(SEEDED)
-        assert main(["lint", str(bad)]) == 0
+        assert main(["analyze", str(bad), "--rules", "TM001-TM004"]) == 0
         capsys.readouterr()
 
     def test_tm001_still_fires(self, tmp_path, capsys):
         bad = tmp_path / "cc" / "entropy.py"
         bad.parent.mkdir()
         bad.write_text("import time\nNOW = time.time()\n")
-        assert main(["lint", str(bad)]) == 1
+        assert main(["analyze", str(bad), "--rules", "TM001-TM004"]) == 1
         assert "TM001" in capsys.readouterr().out

@@ -71,10 +71,6 @@ class TestSuppressions:
     def test_bare_ignore_suppresses_all(self):
         assert analyze_source("import secrets  # tm: ignore\n", "x.py") == []
 
-    def test_legacy_marker_honored(self):
-        source = "import secrets  # tm-lint: ignore\n"
-        assert analyze_source(source, "x.py") == []
-
     def test_parser(self):
         assert suppressed_rules("x = 1") is None
         assert suppressed_rules("x  # tm: ignore") == set()
@@ -168,6 +164,14 @@ class TestRegistryContracts:
         from repro.runtime.events import EVENT_KINDS
 
         assert EVENT_KINDS is registry.EVENT_KINDS
+
+    def test_history_kinds_shared_by_all_subscribers(self):
+        from repro.runtime import recording
+        from repro.sanitizer import dynamic, events
+
+        assert set(registry.HISTORY_KINDS) <= set(registry.EVENT_KINDS)
+        for module in (recording, dynamic, events):
+            assert module.HISTORY_KINDS is registry.HISTORY_KINDS, module
 
     def test_check_event(self):
         assert registry.check_event("commit", None) is None

@@ -35,12 +35,13 @@ class TestPoolIdentity:
 class TestSingleShardStampIdentity:
     """``ClusterTM(shards=1)`` and plain ``ROCoCoTM`` produce
     byte-identical ``BENCH_stamp.json`` files once the backend-name
-    strings are normalized, under both scheduler implementations."""
+    strings are normalized."""
 
-    @pytest.mark.parametrize("sched", ["scan", "kernel"])
+    # The heap kernel is the only scheduler; the linear scan this test
+    # once also ran under is retired.
+    @pytest.mark.parametrize("sched", ["kernel"])
     def test_stamp_bytes_match(self, sched, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-        monkeypatch.setenv("REPRO_SCHED", sched)
         stamps = {}
         for backend_cls in (RococoTMBackend, ClusterTMBackend):
             specs = matrix_specs(
@@ -52,7 +53,7 @@ class TestSingleShardStampIdentity:
             )
             results = SerialRunner().run(specs)
             matrix = matrix_from_results(specs, results)
-            out = tmp_path / f"BENCH_stamp_{backend_cls.name}_{sched}.json"
+            out = tmp_path / f"BENCH_stamp_{backend_cls.name}.json"
             write_bench_stamp(str(out), matrix, specs, 0.0)
             stamps[backend_cls.name] = out.read_text()
         scrubbed = stamps["ClusterTM"].replace("ClusterTM", "ROCoCoTM")

@@ -286,6 +286,24 @@ class TestStampDeterminism:
         assert a.read_bytes() == b.read_bytes()
         assert b'"generated_at": "1970-01-01T00:00:00Z"' in a.read_bytes()
 
+    def test_valid_source_date_epoch(self, monkeypatch):
+        from repro.exec.stampfile import _provenance_clock
+
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "86400")
+        assert _provenance_clock(12.5) == ("1970-01-02T00:00:00Z", 0.0)
+
+    @pytest.mark.parametrize(
+        "pinned",
+        ["abc", "", "1.5", "-1", " 7"],
+        ids=["letters", "empty", "fraction", "negative", "padded"],
+    )
+    def test_malformed_source_date_epoch_raises(self, monkeypatch, pinned):
+        from repro.exec.stampfile import _provenance_clock
+
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", pinned)
+        with pytest.raises(ValueError, match="SOURCE_DATE_EPOCH"):
+            _provenance_clock(12.5)
+
     def test_quarantine_diagnostics_ride_in_the_stamp(self, tmp_path):
         from repro.bench import matrix_from_results
         from repro.exec import bench_stamp_payload

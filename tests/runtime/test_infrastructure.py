@@ -205,4 +205,4 @@ class TestParking:
 
         sim.run([program])
         with pytest.raises(RuntimeError):
-            sim.wake(0, 10.0)
+            sim.wake_at(0, 10.0)

@@ -1,13 +1,18 @@
-"""The scheduling kernel: unit behavior + the scan/kernel identity gate.
+"""The scheduling kernel: unit behavior, run limits and barrier reuse.
 
-The kernel (:mod:`repro.runtime.sched`) must be *schedule-preserving*:
-its heap orders by exactly the ``(clock, tid)`` key the legacy linear
-scan minimized over, so every run — stats, traces, event streams — is
-byte-identical whichever implementation drives it.  The classes below
-test the kernel in isolation, then enforce the identity end-to-end
-across every backend and seeds {0, 1} (the in-repo half of the CI
-``sched-identity`` gate; the CI half byte-compares BENCH_stamp.json).
+The kernel (:mod:`repro.runtime.sched`) orders threads by the
+``(clock, tid)`` key, so a run is a pure function of its programs and
+seed.  :func:`run_grid` is the small park/wake-heavy grid whose
+per-(backend, seed) digests tests/golden/golden.json pins.  Those
+digests were recorded under both the retired linear-scan scheduler and
+the kernel, byte-equal, so :class:`TestScheduleIdentity` holds the
+kernel to the scan's schedule one (backend, seed) at a time; the golden
+test (tests/golden/test_golden.py) also checks the whole file.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +35,6 @@ from repro.runtime import (
     Work,
     Write,
 )
-from repro.runtime.simulator import SCHED_ENV
 
 from .conftest import make_counter_program, make_transfer_program
 
@@ -156,7 +160,7 @@ class TestKernelUnit:
 
 
 # ----------------------------------------------------------------------
-# Scan-vs-kernel schedule identity
+# The scheduler grid pinned by the golden digests
 # ----------------------------------------------------------------------
 CONTENDED_BACKENDS = [
     CoarseLockBackend,
@@ -166,6 +170,17 @@ CONTENDED_BACKENDS = [
     SnapshotIsolationBackend,
     RococoTMBackend,
 ]
+
+#: every backend the golden digests cover; the sequential baseline runs
+#: each program on one thread.
+GRID_BACKENDS = CONTENDED_BACKENDS + [SequentialBackend]
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "golden.json"
+
+#: The scheduler the run-limit and barrier tests run on.  The heap
+#: kernel is the only one; the linear scan they once also ran on is
+#: retired.
+SCHEDULERS = ["kernel"]
 
 
 def barrier_phase_program(memory, n_threads):
@@ -191,14 +206,16 @@ def barrier_phase_program(memory, n_threads):
     return program
 
 
-def run_grid(backend_factory, impl, seed, monkeypatch):
-    monkeypatch.setenv(SCHED_ENV, impl)
+def run_grid(backend_factory, seed):
+    """(stats, final memory) of three small programs on one backend."""
     results = []
     for n_threads, workload in (
         (4, "counter"),
         (3, "transfer"),
         (4, "barrier"),
     ):
+        if backend_factory is SequentialBackend:
+            n_threads = 1
         memory = Memory()
         if workload == "counter":
             counter = memory.alloc(1)
@@ -220,61 +237,54 @@ def run_grid(backend_factory, impl, seed, monkeypatch):
     return results
 
 
+def grid_digest(backend_factory, seed) -> str:
+    """sha256 of :func:`run_grid` as sorted-key JSON."""
+    blob = json.dumps(run_grid(backend_factory, seed), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def golden_digest(backend_factory, seed) -> str:
+    """The committed digest for one (backend, seed) of the grid."""
+    digests = json.loads(GOLDEN.read_text())["sched_digests"]
+    return digests[f"{backend_factory.name}/seed={seed}"]
+
+
 class TestScheduleIdentity:
+    """The kernel reproduces, bit for bit, the schedule the linear scan
+    produced: the golden digests are the scan's output."""
+
     @pytest.mark.parametrize("backend_factory", CONTENDED_BACKENDS)
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_kernel_matches_scan_bit_for_bit(
-        self, backend_factory, seed, monkeypatch
-    ):
-        scan = run_grid(backend_factory, "scan", seed, monkeypatch)
-        kernel = run_grid(backend_factory, "kernel", seed, monkeypatch)
-        assert scan == kernel
+    def test_kernel_matches_scan_bit_for_bit(self, backend_factory, seed):
+        assert grid_digest(backend_factory, seed) == golden_digest(
+            backend_factory, seed
+        )
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_sequential_matches(self, seed, monkeypatch):
-        def run(impl):
-            monkeypatch.setenv(SCHED_ENV, impl)
-            memory = Memory()
-            counter = memory.alloc(1)
-            sim = Simulator(SequentialBackend(), 1, memory=memory, seed=seed)
-            stats = sim.run([make_counter_program(counter, 25)])
-            return stats.to_dict(), memory.load(counter)
+    def test_sequential_matches(self, seed):
+        assert grid_digest(SequentialBackend, seed) == golden_digest(
+            SequentialBackend, seed
+        )
 
-        assert run("scan") == run("kernel")
-
-    def test_default_impl_is_the_kernel(self, monkeypatch):
-        monkeypatch.delenv(SCHED_ENV, raising=False)
+    def test_default_impl_is_the_kernel(self):
         memory = Memory()
         counter = memory.alloc(1)
         sim = Simulator(TinySTMBackend(), 2, memory=memory)
         sim.run([make_counter_program(counter, 4)] * 2)
         assert sim._kernel is not None
 
-    def test_scan_env_disables_the_kernel(self, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, "scan")
-        memory = Memory()
-        counter = memory.alloc(1)
-        sim = Simulator(TinySTMBackend(), 2, memory=memory)
-        sim.run([make_counter_program(counter, 4)] * 2)
-        assert sim._kernel is None
-
 
 # ----------------------------------------------------------------------
 # The end-of-run "sched" event
 # ----------------------------------------------------------------------
 class TestSchedEvent:
-    def _run(self, monkeypatch, impl):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    def test_kernel_publishes_one_snapshot(self):
         memory = Memory()
         counter = memory.alloc(1)
         sim = Simulator(TinySTMBackend(), 3, memory=memory)
-        seen = []
-        sim.bus.subscribe(lambda e: seen.append(e), kinds=("sched",))
+        events = []
+        sim.bus.subscribe(events.append, kinds=("sched",))
         sim.run([make_counter_program(counter, 10)] * 3)
-        return seen
-
-    def test_kernel_publishes_one_snapshot(self, monkeypatch):
-        events = self._run(monkeypatch, "kernel")
         assert len(events) == 1
         data = events[0].data
         assert data["picks"] > 0
@@ -284,12 +294,8 @@ class TestSchedEvent:
         assert data["heap_high_water"] == 3
         assert 0.0 <= data["lazy_invalidation_ratio"] < 1.0
 
-    def test_scan_path_publishes_nothing(self, monkeypatch):
-        assert self._run(monkeypatch, "scan") == []
-
-    def test_unobserved_runs_emit_nothing(self, monkeypatch):
+    def test_unobserved_runs_emit_nothing(self):
         # No subscriber => wants("sched") is False => zero event cost.
-        monkeypatch.setenv(SCHED_ENV, "kernel")
         memory = Memory()
         counter = memory.alloc(1)
         sim = Simulator(TinySTMBackend(), 2, memory=memory)
@@ -298,7 +304,7 @@ class TestSchedEvent:
 
 
 # ----------------------------------------------------------------------
-# Satellite: max_steps off-by-one + deadlock diagnostics
+# max_steps off-by-one + deadlock diagnostics
 # ----------------------------------------------------------------------
 def spinning_program(tid):
     while True:
@@ -306,9 +312,8 @@ def spinning_program(tid):
 
 
 class TestRunLimits:
-    @pytest.mark.parametrize("impl", ["scan", "kernel"])
-    def test_max_steps_counts_exactly(self, impl, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    @pytest.mark.parametrize("impl", SCHEDULERS)
+    def test_max_steps_counts_exactly(self, impl):
         steps_seen = []
         sim = Simulator(SequentialBackend(), 1, max_steps=5)
         sim.bus.subscribe(lambda e: steps_seen.append(e.time), kinds=("step",))
@@ -317,16 +322,14 @@ class TestRunLimits:
         # Exactly max_steps steps executed — not max_steps + 1.
         assert len(steps_seen) == 5
 
-    @pytest.mark.parametrize("impl", ["scan", "kernel"])
-    def test_livelock_message_carries_thread_snapshot(self, impl, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    @pytest.mark.parametrize("impl", SCHEDULERS)
+    def test_livelock_message_carries_thread_snapshot(self, impl):
         sim = Simulator(SequentialBackend(), 1, max_steps=3)
         with pytest.raises(RuntimeError, match=r"t0 runnable clock=\d+ns"):
             sim.run([spinning_program])
 
-    @pytest.mark.parametrize("impl", ["scan", "kernel"])
-    def test_deadlock_message_names_parked_threads(self, impl, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    @pytest.mark.parametrize("impl", SCHEDULERS)
+    def test_deadlock_message_names_parked_threads(self, impl):
         barrier = SimBarrier(parties=3)  # one party short: never releases
 
         def program(tid):
@@ -342,12 +345,11 @@ class TestRunLimits:
 
 
 # ----------------------------------------------------------------------
-# Satellite: back-to-back reuse of one barrier object
+# Back-to-back reuse of one barrier object
 # ----------------------------------------------------------------------
 class TestBarrierReuse:
-    @pytest.mark.parametrize("impl", ["scan", "kernel"])
-    def test_two_rounds_on_one_object(self, impl, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    @pytest.mark.parametrize("impl", SCHEDULERS)
+    def test_two_rounds_on_one_object(self, impl):
         barrier = SimBarrier(parties=3)
         passed = []
 
@@ -361,7 +363,6 @@ class TestBarrierReuse:
             yield AwaitBarrier(barrier)
             passed.append(("round2", tid))
 
-        del passed[:]
         Simulator(TinySTMBackend(), 3).run([program] * 3)
         assert sorted(p for p in passed if p[0] == "round1") == [
             ("round1", 0),
@@ -374,9 +375,8 @@ class TestBarrierReuse:
             ("round2", 2),
         ]
 
-    @pytest.mark.parametrize("impl", ["scan", "kernel"])
-    def test_waiting_list_is_fresh_per_round(self, impl, monkeypatch):
-        monkeypatch.setenv(SCHED_ENV, impl)
+    @pytest.mark.parametrize("impl", SCHEDULERS)
+    def test_waiting_list_is_fresh_per_round(self, impl):
         barrier = SimBarrier(parties=2)
 
         def program(tid):
@@ -387,19 +387,15 @@ class TestBarrierReuse:
         Simulator(TinySTMBackend(), 2).run([program] * 2)
         assert barrier.waiting == []
 
-    def test_release_times_identical_across_impls(self, monkeypatch):
-        def run(impl):
-            monkeypatch.setenv(SCHED_ENV, impl)
-            barrier = SimBarrier(parties=4)
+    def test_release_times_identical_across_impls(self):
+        barrier = SimBarrier(parties=4)
 
-            def program(tid):
-                yield Work(7 * tid)
-                yield AwaitBarrier(barrier)
-                yield Work(3)
-                yield AwaitBarrier(barrier)
+        def program(tid):
+            yield Work(7 * tid)
+            yield AwaitBarrier(barrier)
+            yield Work(3)
+            yield AwaitBarrier(barrier)
 
-            sim = Simulator(TinySTMBackend(), 4)
-            stats = sim.run([program] * 4)
-            return stats.makespan_ns
-
-        assert run("scan") == run("kernel")
+        stats = Simulator(TinySTMBackend(), 4).run([program] * 4)
+        # The makespan both the linear scan and the kernel produced.
+        assert stats.makespan_ns == 264.0

@@ -174,6 +174,16 @@ class TestFig10Obs:
         assert payload["metrics"]["merged"]["counters"]["txn.commits"] > 0
         assert len(payload["metrics"]["cells"]) == payload["n_specs"]
 
+    def test_malformed_source_date_epoch_exits_two(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        stamp = tmp_path / "BENCH_stamp.json"
+        assert main(["fig10", "--scale", "0.1", "--threads", "1",
+                     "--workloads", "ssca2", "--stamp-json", str(stamp)]) == 2
+        assert "SOURCE_DATE_EPOCH='abc'" in capsys.readouterr().err
+        assert not stamp.exists()
+
 
 class TestSanitizeCli:
     def test_clean_workload_exits_zero(self, capsys):
@@ -208,22 +218,26 @@ class TestSanitizeCli:
 
 
 class TestLintCli:
+    """The TM001-TM004 source rules through ``analyze --rules``."""
+
+    LINT = ["analyze", "--rules", "TM001-TM004"]
+
     def test_src_is_clean(self, capsys):
         from pathlib import Path
 
         src = Path(__file__).resolve().parents[1] / "src"
-        assert main(["lint", str(src)]) == 0
-        assert "0 lint error(s)" in capsys.readouterr().out
+        assert main(self.LINT + [str(src)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_bad_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "cc" / "entropy.py"
         bad.parent.mkdir()
         bad.write_text("import time\nNOW = time.time()\n")
-        assert main(["lint", str(bad)]) == 1
+        assert main(self.LINT + [str(bad)]) == 1
         assert "TM001" in capsys.readouterr().out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
-        assert main(["lint", str(tmp_path / "nope")]) == 2
+        assert main(self.LINT + [str(tmp_path / "nope")]) == 2
         assert "no such file" in capsys.readouterr().err
 
 
