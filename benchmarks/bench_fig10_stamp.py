@@ -53,20 +53,13 @@ def matrix():
     cache = ResultCache(cache_dir) if cache_dir else None
     timeout = os.environ.get("REPRO_BENCH_TIMEOUT")
     retries = os.environ.get("REPRO_BENCH_RETRIES")
-    journal = os.environ.get("REPRO_BENCH_RESUME")
-    if timeout or retries or journal:
-        from repro.exec import SupervisedRunner, SupervisorPolicy
-
-        policy = SupervisorPolicy(
-            timeout_s=float(timeout) if timeout else None,
-            max_retries=int(retries) if retries else 2,
-        )
-        runner = SupervisedRunner(
-            max_workers=jobs, cache=cache, policy=policy,
-            journal=journal, resume=bool(journal),
-        )
-    else:
-        runner = default_runner(jobs, cache=cache)
+    runner = default_runner(
+        jobs,
+        cache=cache,
+        timeout=float(timeout) if timeout else None,
+        max_retries=int(retries) if retries else None,
+        resume=os.environ.get("REPRO_BENCH_RESUME") or None,
+    )
     specs = matrix_specs(scale=SCALE, seed=SEED)
     started = time.perf_counter()
     results = runner.run(specs)

@@ -20,6 +20,13 @@ Examples::
 Each subcommand prints the rows/series of the corresponding figure or
 table; see ``benchmarks/`` for the asserted pytest-benchmark variants.
 
+Flags that several verbs share are declared once, in :data:`FLAGS`.
+Every verb that runs a cell (stamp, chaos, sanitize, trace, metrics,
+and each fig10 cell) builds it as an :class:`ExperimentSpec`, whose
+checks are the only cell validation: ``--faults`` off ROCoCoTM and
+ClusterTM, ``--shards`` below 1, or ``--shards`` above 1 off ClusterTM
+exit 1 with the spec's message.
+
 Exit codes: 0 success, 1 failure (violations found, run error), 2
 usage error, 3 completed-with-quarantined-cells (supervised sweeps
 only: every healthy cell ran, but one or more poison cells were
@@ -52,7 +59,7 @@ from .exec import (
     WORKLOAD_REGISTRY,
     ExperimentSpec,
     ResultCache,
-    SerialRunner,
+    SupervisedRunner,
     default_runner,
     write_bench_stamp,
 )
@@ -74,6 +81,99 @@ WORKLOAD_ALIASES = {
     "vacation-low": "vacation",
     "kmeans-high": "kmeans",
 }
+
+#: every flag two or more verbs take, declared once as its
+#: ``add_argument`` keywords.  ``env`` names the variable that supplies
+#: the default (the ``REPRO_BENCH_*`` conventions the benchmarks use,
+#: so CI can steer a run without editing command lines).  A verb names
+#: the flags it takes and may override only a default, plus fig10's
+#: ``nargs="+"`` on --threads and fig9's ``choices``.
+FLAGS = {
+    "--threads": dict(type=int),
+    "--scale": dict(type=float, default=0.5),
+    "--seed": dict(type=int, default=1),
+    "--workloads": dict(nargs="+", choices=sorted(WORKLOADS)),
+    "--faults": dict(
+        choices=BUILTIN_SCHEDULES,
+        help="inject this fault schedule into the validation path (ROCoCoTM or ClusterTM only)",
+    ),
+    "--fault-seed": dict(type=int, default=0),
+    "--shards": dict(
+        type=int, default=1, env="REPRO_SHARDS",
+        help="shard count for the ClusterTM backend; above 1, fig10 adds a ClusterTM column "
+        "and chaos runs on ClusterTM (env REPRO_SHARDS; see docs/CLUSTER.md)",
+    ),
+    "--cache": dict(
+        metavar="DIR",
+        help="content-addressed result cache: re-runs only execute changed cells",
+    ),
+    "--jobs": dict(
+        type=int, default=None,
+        help="shard cells across N processes (0 = one per core); "
+        "results are bit-identical to serial",
+    ),
+    "--timeout": dict(
+        type=float, metavar="SECONDS", env="REPRO_BENCH_TIMEOUT",
+        help="per-cell wall-clock deadline (env: REPRO_BENCH_TIMEOUT)",
+    ),
+    "--max-retries": dict(
+        type=int, metavar="N", env="REPRO_BENCH_RETRIES",
+        help="retries per failing cell before quarantine (default 2; env: REPRO_BENCH_RETRIES)",
+    ),
+    "--resume": dict(
+        metavar="JOURNAL", env="REPRO_BENCH_RESUME",
+        help="journal sweep progress to this fsynced JSONL WAL and, if it already holds "
+        "compatible entries, serve them instead of re-executing (env: REPRO_BENCH_RESUME)",
+    ),
+    "--worker-faults": dict(
+        metavar="PLAN", env="REPRO_BENCH_WORKER_FAULTS",
+        help="inject deterministic host-side worker faults, kind@cell[:attempt],... with kinds "
+        "crash|hang|garbage|partial-write — chaos-tests the supervisor itself "
+        "(env: REPRO_BENCH_WORKER_FAULTS)",
+    ),
+}
+
+#: the flags that route a run through SupervisedRunner; verbs take
+#: them together, as the ``supervision`` argument group.
+SUPERVISION = ("--timeout", "--max-retries", "--resume", "--worker-faults")
+
+
+def _env_default(name: str, cast, fallback=None):
+    """A ``REPRO_*`` env value as a flag default, else *fallback*."""
+    raw = os.environ.get(name)
+    if not raw:
+        return fallback
+    try:
+        return cast(raw)
+    except ValueError:
+        raise SystemExit(f"bad {name}={raw!r}: expected {cast.__name__}") from None
+
+
+def _add_flag(parser, flag: str, **override) -> None:
+    """Declare the shared *flag*; *override* replaces table keywords."""
+    keywords = {**FLAGS[flag], **override}
+    env = keywords.pop("env", None)
+    if env is not None:
+        keywords["default"] = _env_default(env, keywords.get("type", str), keywords.get("default"))
+    parser.add_argument(flag, **keywords)
+
+
+def _add_flags(parser, *flags: str, **defaults) -> None:
+    """Declare shared *flags* in order; *defaults* maps a flag's dest to
+    this verb's default.  ``"supervision"`` adds the supervision group."""
+    for flag in flags:
+        if flag == "supervision":
+            group = parser.add_argument_group(
+                "supervision",
+                "any of these flags routes the sweep through SupervisedRunner "
+                "(deadlines, retries, quarantine, crash-resumable journal); "
+                "exit 3 = completed with quarantined cells",
+            )
+            _add_flags(group, *SUPERVISION)
+            continue
+        dest = flag[2:].replace("-", "_")
+        _add_flag(parser, flag, **({"default": defaults.pop(dest)} if dest in defaults else {}))
+    assert not defaults, f"defaults for undeclared flags: {sorted(defaults)}"
 
 
 def _resolve_workload(name: str) -> str:
@@ -102,131 +202,62 @@ def _resolve_backend(name: str) -> str:
     return key
 
 
-def _make_backend(
-    name: str,
-    faults: Optional[str] = None,
-    fault_seed: int = 0,
-    shards: int = 1,
-):
-    """A backend instance, optionally sharded and/or under faults."""
-    if shards > 1 and name != "ClusterTM":
-        raise SystemExit(
-            f"--shards {shards} requires the ClusterTM backend "
-            f"(got {name})"
-        )
-    if name == "ClusterTM":
-        from .cluster import ClusterTMBackend
-
-        return ClusterTMBackend(
-            shards=shards, faults=faults or None, fault_seed=fault_seed
-        )
-    if faults:
-        if name != "ROCoCoTM":
-            raise SystemExit(
-                "--faults injects into the FPGA validation path and "
-                "requires the ROCoCoTM or ClusterTM backend"
-            )
-        from .faults import build_chaos_backend
-
-        return build_chaos_backend(faults, fault_seed)
-    return BACKENDS[name]()
+def _spec(args, workload: str, backend: str, **fields) -> ExperimentSpec:
+    """The cell a verb runs: names resolved, ``sequential`` pinned to one
+    thread, threads/scale/seed/fault seed from the flags, and *fields*
+    for the rest (faults, shards, ...).  ExperimentSpec's checks are the
+    only validation; its ValueError reaches the user as exit 1."""
+    backend = _resolve_backend(backend)
+    return ExperimentSpec(
+        _resolve_workload(workload), backend, 1 if backend == "sequential" else args.threads,
+        scale=args.scale, seed=args.seed, fault_seed=args.fault_seed, **fields,
+    )
 
 
-def _env_default(name: str, cast):
-    """An ``REPRO_BENCH_*`` env value as a flag default, or None."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(f"bad {name}={raw!r}: expected {cast.__name__}") from None
+def _run_specs(args, specs, jobs=None, progress=None, stamp_json=None):
+    """Run *specs* on the runner the --cache and supervision flags choose
+    (*jobs* as ``default_runner`` reads it) and report on stderr.
 
-
-def add_supervision_args(sub_parser) -> None:
-    """The supervised-execution flags shared by stamp/chaos/fig10.
-
-    Defaults honor the ``REPRO_BENCH_*`` env conventions the
-    benchmarks already use, so CI can steer supervision without
-    editing command lines.
+    *stamp_json* also writes the sweep's ``BENCH_stamp.json`` record.
+    Returns the results (None for a quarantined cell) and the exit code:
+    3 when a supervised run quarantined cells, else 0.
     """
-    group = sub_parser.add_argument_group(
-        "supervision",
-        "any of these flags routes the sweep through SupervisedRunner "
-        "(deadlines, retries, quarantine, crash-resumable journal); "
-        "exit 3 = completed with quarantined cells",
-    )
-    group.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        default=_env_default("REPRO_BENCH_TIMEOUT", float),
-        help="per-cell wall-clock deadline (env: REPRO_BENCH_TIMEOUT)",
-    )
-    group.add_argument(
-        "--max-retries",
-        type=int,
-        metavar="N",
-        default=_env_default("REPRO_BENCH_RETRIES", int),
-        help="retries per failing cell before quarantine "
-        "(default 2; env: REPRO_BENCH_RETRIES)",
-    )
-    group.add_argument(
-        "--resume",
-        metavar="JOURNAL",
-        default=os.environ.get("REPRO_BENCH_RESUME") or None,
-        help="journal sweep progress to this fsynced JSONL WAL and, if "
-        "it already holds compatible entries, serve them instead of "
-        "re-executing (env: REPRO_BENCH_RESUME)",
-    )
-    group.add_argument(
-        "--worker-faults",
-        metavar="PLAN",
-        default=os.environ.get("REPRO_BENCH_WORKER_FAULTS") or None,
-        help="inject deterministic host-side worker faults, "
-        "kind@cell[:attempt],... with kinds crash|hang|garbage|"
-        "partial-write — chaos-tests the supervisor itself "
-        "(env: REPRO_BENCH_WORKER_FAULTS)",
-    )
+    # Wall-clock here times the *sweep harness* for the stamp record,
+    # never the simulated experiments, which run on virtual time.
+    import time  # tm: ignore[TM101]
 
-
-def _supervised_runner(args, cache):
-    """A :class:`SupervisedRunner` when any supervision flag is set,
-    else None (callers keep their plain serial/pool runner)."""
-    if (
-        args.timeout is None
-        and args.max_retries is None
-        and not args.resume
-        and not args.worker_faults
-    ):
-        return None
-    from .exec import SupervisedRunner, SupervisorPolicy
-
-    policy_kwargs = {}
-    if args.timeout is not None:
-        policy_kwargs["timeout_s"] = args.timeout
-    if args.max_retries is not None:
-        policy_kwargs["max_retries"] = args.max_retries
+    cache = ResultCache(args.cache) if args.cache else None
     worker_faults = None
     if args.worker_faults:
         from .faults import WorkerFaultPlan
 
-        worker_faults = WorkerFaultPlan.parse(
-            args.worker_faults, seed=getattr(args, "fault_seed", 0) or 0
-        )
-    return SupervisedRunner(
-        max_workers=getattr(args, "jobs", None),
-        cache=cache,
-        policy=SupervisorPolicy(**policy_kwargs),
-        journal=args.resume,
-        resume=bool(args.resume),
-        worker_faults=worker_faults,
+        worker_faults = WorkerFaultPlan.parse(args.worker_faults, seed=specs[0].fault_seed)
+    runner = default_runner(
+        jobs, cache=cache, timeout=args.timeout, max_retries=args.max_retries,
+        resume=args.resume, worker_faults=worker_faults,
     )
+    started = time.perf_counter()
+    results = runner.run(specs, progress=progress)
+    if stamp_json:
+        write_bench_stamp(
+            stamp_json, matrix_from_results(specs, results), specs,
+            time.perf_counter() - started, runner, cache, results=results,
+        )
+        print(f"wrote {stamp_json}", file=sys.stderr)
+    if cache is not None:
+        print(
+            f"cache: {cache.hits}/{cache.lookups} hits "
+            f"({cache.hit_rate:.0%}) in {cache.root}",
+            file=sys.stderr,
+        )
+    return results, _report_supervision(runner)
 
 
 def _report_supervision(runner) -> int:
     """Summarize a supervised sweep on stderr; the exit code is 3 when
-    cells were quarantined, else 0."""
+    cells were quarantined, else 0 (also for an unsupervised runner)."""
+    if not isinstance(runner, SupervisedRunner):
+        return 0
     print(runner.summary(), file=sys.stderr)
     if not runner.quarantined:
         return 0
@@ -310,10 +341,6 @@ def _cmd_fig9(args) -> int:
 
 
 def _cmd_fig10(args) -> int:
-    # Wall-clock here times the *sweep harness* (operator-facing ETA),
-    # never the simulated experiments, which run on virtual time.
-    import time  # tm: ignore[TM101]
-
     if args.stamp_json:
         # Refuse a malformed pin before the sweep, not after it.
         try:
@@ -322,13 +349,11 @@ def _cmd_fig10(args) -> int:
             print(f"fig10: {bad}", file=sys.stderr)
             return 2
     workloads = [WORKLOADS[name] for name in args.workloads] if args.workloads else ALL_WORKLOADS
-    cache = ResultCache(args.cache) if args.cache else None
-    supervised = _supervised_runner(args, cache)
-    runner = supervised if supervised is not None else default_runner(args.jobs, cache=cache)
-    shards = getattr(args, "shards", 1)
     fig_backends = ["TinySTM", "TSX", "ROCoCoTM"]
     backend_factories = list(FIG10_BACKENDS)
-    if shards > 1:
+    # Any count but 1 adds the column, so a count below 1 reaches
+    # ExperimentSpec's check instead of silently running single-node.
+    if args.shards != 1:
         from .cluster import ClusterTMBackend
 
         fig_backends.append("ClusterTM")
@@ -336,27 +361,15 @@ def _cmd_fig10(args) -> int:
     specs = matrix_specs(
         workloads=workloads, backends=tuple(backend_factories),
         threads=tuple(args.threads),
-        scale=args.scale, seed=args.seed, obs=args.obs, shards=shards,
+        scale=args.scale, seed=args.seed, obs=args.obs, shards=args.shards,
     )
-    started = time.perf_counter()
-    results = runner.run(
-        specs,
+    results, exit_code = _run_specs(
+        args, specs, args.jobs,
         progress=(lambda msg: print("  " + msg, file=sys.stderr)) if args.verbose else None,
+        stamp_json=args.stamp_json,
     )
-    wall_clock_s = time.perf_counter() - started
     matrix = matrix_from_results(specs, results)
-    if args.stamp_json:
-        write_bench_stamp(
-            args.stamp_json, matrix, specs, wall_clock_s, runner, cache,
-            results=results if args.obs else None,
-        )
-        print(f"wrote {args.stamp_json}", file=sys.stderr)
-    if cache is not None:
-        print(
-            f"cache: {cache.hits}/{cache.lookups} hits "
-            f"({cache.hit_rate:.0%}) in {cache.root}",
-            file=sys.stderr,
-        )
+
     def cell_row(name, backend, nt):
         # A quarantined cell (supervised sweeps) leaves a hole in the
         # matrix; render it as "-" rather than crashing the table.
@@ -396,15 +409,13 @@ def _cmd_fig10(args) -> int:
         geo_rows,
         title="Geomean speedup ratios (paper @28t: 1.55 / 8.05)",
     )
-    if shards > 1:
+    if args.shards > 1:
         print_table(
             ["threads", "ClusterTM/ROCoCoTM"],
             [[nt, ratio("ClusterTM", "ROCoCoTM", nt)] for nt in args.threads],
-            title=f"Cluster scale-out ratio ({shards} shards)",
+            title=f"Cluster scale-out ratio ({args.shards} shards)",
         )
-    if supervised is not None:
-        return _report_supervision(supervised)
-    return 0
+    return exit_code
 
 
 def _cmd_fig11(args) -> int:
@@ -437,37 +448,10 @@ def _cmd_resources(args) -> int:
 
 
 def _cmd_stamp(args) -> int:
-    if args.faults and args.backend not in ("ROCoCoTM", "ClusterTM"):
-        raise SystemExit(
-            "--faults injects into the FPGA validation path and "
-            "requires the ROCoCoTM or ClusterTM backend"
-        )
-    shards = getattr(args, "shards", 1) or 1
-    if shards > 1 and args.backend != "ClusterTM":
-        raise SystemExit(
-            f"--shards {shards} requires the ClusterTM backend "
-            f"(got {args.backend})"
-        )
-    spec = ExperimentSpec(
-        args.workload,
-        args.backend,
-        1 if args.backend == "sequential" else args.threads,
-        scale=args.scale,
-        seed=args.seed,
-        faults=args.faults,
-        fault_seed=args.fault_seed,
-        shards=shards,
-    )
-    cache = ResultCache(args.cache) if args.cache else None
-    runner = _supervised_runner(args, cache)
-    exit_code = 0
-    if runner is None:
-        [stats] = SerialRunner(cache=cache).run([spec])
-    else:
-        [stats] = runner.run([spec])
-        exit_code = _report_supervision(runner)
-        if stats is None:
-            return exit_code
+    spec = _spec(args, args.workload, args.backend, faults=args.faults, shards=args.shards)
+    [stats], exit_code = _run_specs(args, [spec])
+    if stats is None:  # quarantined under supervision
+        return exit_code
     print(stats.summary())
     if stats.validations:
         print(f"mean validation: {stats.mean_validation_us:.3f} us/txn")
@@ -476,66 +460,47 @@ def _cmd_stamp(args) -> int:
 
 def _cmd_chaos(args) -> int:
     """Run the fault matrix on one workload; optionally sanitized."""
-    from .faults import BUILTIN_SCHEDULES, chaos_sanitize
+    from .faults import chaos_sanitize
 
-    workload_cls = WORKLOADS[args.workload]
-    schedules = (
-        list(BUILTIN_SCHEDULES) if "all" in args.schedule else args.schedule
-    )
-    shards = getattr(args, "shards", 1) or 1
-    if shards > 1 and args.sanitize:
-        raise SystemExit(
-            "--sanitize replays through the single-node chaos harness; "
-            "drop --shards or --sanitize"
-        )
+    schedules = list(BUILTIN_SCHEDULES) if "all" in args.schedule else args.schedule
+    system = "ClusterTM" if args.shards > 1 else "ROCoCoTM"
+    specs = [
+        _spec(args, args.workload, system, faults=sched, shards=args.shards,
+              irrevocable_after=args.irrevocable_after)
+        for sched in schedules
+    ]
     rows = []
-    violations = 0
-    supervised = None
+    exit_code = 0
     if args.sanitize:
-        for sched in schedules:
+        given = {
+            "--shards": args.shards > 1, "--irrevocable-after": args.irrevocable_after is not None,
+            "--jobs": args.jobs is not None, "--cache": args.cache,
+            "--timeout": args.timeout is not None, "--max-retries": args.max_retries is not None,
+            "--resume": args.resume, "--worker-faults": args.worker_faults,
+        }
+        unused = [flag for flag, value in given.items() if value]
+        if unused:
+            raise SystemExit(
+                "--sanitize replays through the single-node chaos harness, "
+                f"which takes no {', '.join(unused)}; drop them or --sanitize"
+            )
+        for spec in specs:
             [(_, report, backend)] = chaos_sanitize(
-                workload_cls,
-                [sched],
-                n_threads=args.threads,
-                scale=args.scale,
-                seed=args.seed,
-                fault_seed=args.fault_seed,
+                WORKLOADS[spec.workload], [spec.faults], n_threads=spec.n_threads,
+                scale=spec.scale, seed=spec.seed, fault_seed=spec.fault_seed,
             )
             if not report.ok:
-                violations += 1
-                print(f"--- {sched}: SANITIZER VIOLATIONS ---", file=sys.stderr)
+                exit_code = 1
+                print(f"--- {spec.faults}: SANITIZER VIOLATIONS ---", file=sys.stderr)
                 print(report.summary(), file=sys.stderr)
             rows.append(
-                [sched]
-                + degradation_row(backend.stats)
-                + ["ok" if report.ok else "FAIL"]
+                [spec.faults] + degradation_row(backend.stats) + ["ok" if report.ok else "FAIL"]
             )
     else:
-        specs = [
-            ExperimentSpec(
-                args.workload,
-                "ClusterTM" if shards > 1 else "ROCoCoTM",
-                args.threads,
-                scale=args.scale,
-                seed=args.seed,
-                faults=sched,
-                fault_seed=args.fault_seed,
-                irrevocable_after=args.irrevocable_after,
-                shards=shards,
-            )
-            for sched in schedules
-        ]
-        cache = ResultCache(args.cache) if args.cache else None
-        supervised = _supervised_runner(args, cache)
-        runner = supervised if supervised is not None else default_runner(
-            args.jobs, cache=cache
-        )
-        results = runner.run(specs)
+        results, exit_code = _run_specs(args, specs, args.jobs)
         for sched, stats in zip(schedules, results):
             if stats is None:  # quarantined under supervision
-                rows.append(
-                    [sched] + ["-"] * len(DEGRADATION_HEADERS) + ["QUARANTINED"]
-                )
+                rows.append([sched] + ["-"] * len(DEGRADATION_HEADERS) + ["QUARANTINED"])
             else:
                 rows.append([sched] + degradation_row(stats) + ["-"])
     print_table(
@@ -546,11 +511,7 @@ def _cmd_chaos(args) -> int:
             f"(scale {args.scale}, seed {args.seed}, fault seed {args.fault_seed})"
         ),
     )
-    if violations:
-        return 1
-    if supervised is not None:
-        return _report_supervision(supervised)
-    return 0
+    return exit_code
 
 
 def _cmd_sanitize(args) -> int:
@@ -566,25 +527,16 @@ def _cmd_sanitize(args) -> int:
         print("sanitize: workload and backend are required (or --self-check)", file=sys.stderr)
         return 2
 
-    workload_cls = WORKLOADS[args.workload]
-    n_threads = 1 if args.backend == "sequential" else args.threads
+    spec = _spec(args, args.workload, args.backend, faults=args.faults)
+    workload_cls, backend = WORKLOADS[spec.workload], spec.make_backend()
     if args.diff:
         report = diff_backends(
-            workload_cls,
-            _make_backend(args.backend, args.faults, args.fault_seed),
-            BACKENDS[args.diff](),
-            n_threads,
-            scale=args.scale,
-            seed=args.seed,
-            strict=args.strict_diff,
+            workload_cls, backend, BACKENDS[args.diff](), spec.n_threads,
+            scale=spec.scale, seed=spec.seed, strict=args.strict_diff,
         )
     else:
         report, sanitized, _ = run_sanitized(
-            workload_cls,
-            _make_backend(args.backend, args.faults, args.fault_seed),
-            n_threads,
-            scale=args.scale,
-            seed=args.seed,
+            workload_cls, backend, spec.n_threads, scale=spec.scale, seed=spec.seed
         )
         if args.dump_log:
             with open(args.dump_log, "w") as sink:
@@ -595,49 +547,25 @@ def _cmd_sanitize(args) -> int:
 
 
 def _run_observed(args, trace: bool):
-    """Shared trace/metrics driving: resolve names, run one observed cell."""
+    """Shared trace/metrics driving: run one observed cell."""
     from .obs import observe_stamp
 
-    workload = _resolve_workload(args.workload)
-    backend_name = _resolve_backend(args.backend)
-    if args.faults and backend_name not in ("ROCoCoTM", "ClusterTM"):
-        raise SystemExit(
-            "--faults injects into the FPGA validation path and "
-            "requires the ROCoCoTM or ClusterTM backend"
-        )
-    backend = _make_backend(
-        backend_name, args.faults, args.fault_seed,
-        shards=getattr(args, "shards", 1) or 1,
-    )
-    n_threads = 1 if backend_name == "sequential" else args.threads
+    spec = _spec(args, args.workload, args.backend, faults=args.faults, shards=args.shards)
     stats, tracer, registry = observe_stamp(
-        WORKLOADS[workload],
-        backend,
-        n_threads,
-        scale=args.scale,
-        seed=args.seed,
-        verify=not args.no_verify,
-        trace=trace,
-        detail=trace and not args.no_detail,
+        WORKLOADS[spec.workload], spec.make_backend(), spec.n_threads,
+        scale=spec.scale, seed=spec.seed, verify=not args.no_verify,
+        trace=trace, detail=trace and not args.no_detail,
     )
-    return workload, backend_name, n_threads, stats, tracer, registry
+    return spec, stats, tracer, registry
 
 
 def _cmd_trace(args) -> int:
     from .obs import write_chrome_trace
 
-    workload, backend_name, n_threads, stats, tracer, _ = _run_observed(
-        args, trace=True
-    )
+    spec, stats, tracer, _ = _run_observed(args, trace=True)
     payload = write_chrome_trace(
-        args.out,
-        tracer,
-        workload=workload,
-        backend=backend_name,
-        n_threads=n_threads,
-        scale=args.scale,
-        seed=args.seed,
-        faults=args.faults,
+        args.out, tracer, workload=spec.workload, backend=spec.backend,
+        n_threads=spec.n_threads, scale=spec.scale, seed=spec.seed, faults=spec.faults,
     )
     print(stats.summary())
     print(
@@ -651,9 +579,7 @@ def _cmd_trace(args) -> int:
 def _cmd_metrics(args) -> int:
     import json
 
-    workload, backend_name, n_threads, stats, _, registry = _run_observed(
-        args, trace=False
-    )
+    spec, stats, _, registry = _run_observed(args, trace=False)
     snapshot = registry.snapshot()
     if args.out:
         with open(args.out, "w") as sink:
@@ -663,7 +589,8 @@ def _cmd_metrics(args) -> int:
     if args.json:
         print(json.dumps(snapshot, indent=1, sort_keys=True))
         return 0
-    title = f"{workload}/{backend_name}@{n_threads}t (scale {args.scale}, seed {args.seed})"
+    cell = f"{spec.workload}/{spec.backend}@{spec.n_threads}t"
+    title = f"{cell} (scale {spec.scale}, seed {spec.seed})"
     print_table(
         ["counter", "value"],
         [[name, value] for name, value in snapshot["counters"].items()],
@@ -780,29 +707,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p9 = sub.add_parser("fig9", help="CC abort rates vs collision rate")
-    p9.add_argument("--threads", type=int, default=16, choices=(4, 16))
+    _add_flag(p9, "--threads", default=16, choices=(4, 16))
     p9.add_argument("--seeds", type=int, default=20)
     p9.add_argument("--txns", type=int, default=120)
     p9.set_defaults(func=_cmd_fig9)
 
     p10 = sub.add_parser("fig10", help="STAMP speedups and abort rates")
-    p10.add_argument("--scale", type=float, default=0.5)
-    p10.add_argument("--seed", type=int, default=1)
-    p10.add_argument("--threads", type=int, nargs="+", default=list(FIG10_THREADS))
-    p10.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS))
+    _add_flags(p10, "--scale", "--seed")
+    _add_flag(p10, "--threads", nargs="+", default=list(FIG10_THREADS))
+    _add_flags(p10, "--workloads")
     p10.add_argument("--verbose", action="store_true")
-    p10.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="shard cells across N processes (0 = one per core); "
-        "results are bit-identical to serial",
-    )
-    p10.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="content-addressed result cache: re-runs only execute changed cells",
-    )
+    _add_flags(p10, "--jobs", "--cache")
     p10.add_argument(
         "--stamp-json",
         metavar="PATH",
@@ -815,20 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the metrics registry to every cell; snapshots land "
         "in the --stamp-json record (merged across shards)",
     )
-    p10.add_argument(
-        "--shards",
-        type=int,
-        default=_env_default("REPRO_SHARDS", int) or 1,
-        help="add a ClusterTM column with this many shards "
-        "(env REPRO_SHARDS; see docs/CLUSTER.md)",
-    )
-    add_supervision_args(p10)
+    _add_flags(p10, "--shards", "supervision")
     p10.set_defaults(func=_cmd_fig10)
 
     p11 = sub.add_parser("fig11", help="per-transaction validation overhead")
-    p11.add_argument("--threads", type=int, default=14)
-    p11.add_argument("--scale", type=float, default=0.5)
-    p11.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS))
+    _add_flags(p11, "--threads", "--scale", "--workloads", threads=14)
     p11.set_defaults(func=_cmd_fig11)
 
     pr = sub.add_parser("resources", help="FPGA resource/Fmax model")
@@ -840,26 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("stamp", help="run one workload on one backend")
     ps.add_argument("workload", choices=sorted(WORKLOADS))
     ps.add_argument("backend", choices=sorted(BACKENDS))
-    ps.add_argument("--threads", type=int, default=8)
-    ps.add_argument("--scale", type=float, default=0.5)
-    ps.add_argument("--seed", type=int, default=1)
-    ps.add_argument(
-        "--faults",
-        choices=BUILTIN_SCHEDULES,
-        help="inject this fault schedule into the validation path "
-        "(ROCoCoTM or ClusterTM only)",
+    _add_flags(
+        ps, "--threads", "--scale", "--seed", "--faults", "--fault-seed",
+        "--shards", "--cache", "supervision", threads=8,
     )
-    ps.add_argument("--fault-seed", type=int, default=0)
-    ps.add_argument(
-        "--shards",
-        type=int,
-        default=_env_default("REPRO_SHARDS", int) or 1,
-        help="shard count for the ClusterTM backend (env REPRO_SHARDS)",
-    )
-    ps.add_argument(
-        "--cache", metavar="DIR", help="content-addressed result cache"
-    )
-    add_supervision_args(ps)
     ps.set_defaults(func=_cmd_stamp)
 
     pc = sub.add_parser(
@@ -873,10 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["all"],
         choices=sorted(BUILTIN_SCHEDULES) + ["all"],
     )
-    pc.add_argument("--threads", type=int, default=4)
-    pc.add_argument("--scale", type=float, default=0.25)
-    pc.add_argument("--seed", type=int, default=1)
-    pc.add_argument("--fault-seed", type=int, default=0)
+    _add_flags(pc, "--threads", "--scale", "--seed", "--fault-seed", threads=4, scale=0.25)
     pc.add_argument(
         "--sanitize",
         action="store_true",
@@ -888,23 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="enable the irrevocable escape hatch after N consecutive aborts",
     )
-    pc.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="shard schedules across N processes (non-sanitized runs only)",
-    )
-    pc.add_argument(
-        "--cache", metavar="DIR", help="content-addressed result cache"
-    )
-    pc.add_argument(
-        "--shards",
-        type=int,
-        default=_env_default("REPRO_SHARDS", int) or 1,
-        help="run the matrix on a ClusterTM cluster with this many "
-        "shards instead of single-node ROCoCoTM (env REPRO_SHARDS)",
-    )
-    add_supervision_args(pc)
+    _add_flags(pc, "--jobs", "--cache", "--shards", "supervision")
     pc.set_defaults(func=_cmd_chaos)
 
     pz = sub.add_parser(
@@ -913,9 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pz.add_argument("workload", nargs="?", choices=sorted(WORKLOADS))
     pz.add_argument("backend", nargs="?", choices=sorted(BACKENDS))
-    pz.add_argument("--threads", type=int, default=4)
-    pz.add_argument("--scale", type=float, default=0.25)
-    pz.add_argument("--seed", type=int, default=1)
+    _add_flags(pz, "--threads", "--scale", "--seed", threads=4, scale=0.25)
     pz.add_argument(
         "--diff",
         metavar="BACKEND2",
@@ -935,43 +804,27 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument(
         "--dump-log", metavar="PATH", help="write the event log as JSONL"
     )
-    pz.add_argument(
-        "--faults",
-        choices=BUILTIN_SCHEDULES,
-        help="sanitize under this fault schedule (ROCoCoTM or ClusterTM only)",
-    )
-    pz.add_argument("--fault-seed", type=int, default=0)
+    _add_flags(pz, "--faults", "--fault-seed")
     pz.set_defaults(func=_cmd_sanitize)
 
-    def add_observed_args(sub_parser, default_scale: float) -> None:
-        sub_parser.add_argument("workload", help="workload name (see `repro list`)")
-        sub_parser.add_argument("backend", help="backend name, case-insensitive")
-        sub_parser.add_argument("--threads", type=int, default=4)
-        sub_parser.add_argument("--scale", type=float, default=default_scale)
-        sub_parser.add_argument("--seed", type=int, default=1)
-        sub_parser.add_argument(
-            "--faults",
-            choices=BUILTIN_SCHEDULES,
-            help="inject this fault schedule (ROCoCoTM or ClusterTM only)",
+    def observed_verb(name: str, help_text: str):
+        po = sub.add_parser(name, help=help_text)
+        po.add_argument("workload", help="workload name (see `repro list`)")
+        po.add_argument("backend", help="backend name, case-insensitive")
+        _add_flags(
+            po, "--threads", "--scale", "--seed", "--faults", "--fault-seed",
+            "--shards", threads=4, scale=0.25,
         )
-        sub_parser.add_argument("--fault-seed", type=int, default=0)
-        sub_parser.add_argument(
-            "--shards",
-            type=int,
-            default=_env_default("REPRO_SHARDS", int) or 1,
-            help="shard count for the ClusterTM backend (env REPRO_SHARDS)",
-        )
-        sub_parser.add_argument(
+        po.add_argument(
             "--no-verify",
             action="store_true",
             help="skip the workload's final-state invariant check",
         )
+        return po
 
-    pt = sub.add_parser(
-        "trace",
-        help="record one run as Chrome trace-event JSON (ui.perfetto.dev)",
+    pt = observed_verb(
+        "trace", "record one run as Chrome trace-event JSON (ui.perfetto.dev)"
     )
-    add_observed_args(pt, default_scale=0.25)
     pt.add_argument(
         "--out", default="trace.json", help="output path (default trace.json)"
     )
@@ -982,11 +835,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pt.set_defaults(func=_cmd_trace)
 
-    pm = sub.add_parser(
+    pm = observed_verb(
         "metrics",
-        help="run one cell with the metrics registry attached, print the snapshot",
+        "run one cell with the metrics registry attached, print the snapshot",
     )
-    add_observed_args(pm, default_scale=0.25)
     pm.add_argument(
         "--json", action="store_true", help="print the snapshot as JSON"
     )

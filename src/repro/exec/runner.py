@@ -187,10 +187,38 @@ class ProcessPoolRunner(Runner):
 
 
 def default_runner(
-    jobs: Optional[int] = None, cache: Optional[ResultCache] = None
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    *,
+    timeout: Optional[float] = None,
+    max_retries: Optional[int] = None,
+    resume: Optional[str] = None,
+    worker_faults=None,
 ) -> Runner:
-    """``jobs`` semantics shared by the CLI and benchmarks: None/1 ->
-    serial; N > 1 -> a pool of N; 0 -> a pool sized to the host."""
+    """The runner choice shared by the CLI and benchmarks.
+
+    Any supervision keyword set -> a
+    :class:`~repro.exec.supervise.SupervisedRunner`: per-cell *timeout*
+    (seconds), *max_retries* before quarantine (policy default when
+    None), a *resume* journal path, and a *worker_faults* plan
+    (:class:`~repro.faults.WorkerFaultPlan`).  Otherwise ``jobs``
+    decides: None/1 -> serial; N > 1 -> a pool of N; 0 -> a pool sized
+    to the host.  A supervised runner reads ``jobs`` the same way.
+    """
+    if timeout is not None or max_retries is not None or resume or worker_faults is not None:
+        from .supervise import SupervisedRunner, SupervisorPolicy
+
+        policy = {"timeout_s": timeout, "max_retries": max_retries}
+        return SupervisedRunner(
+            max_workers=jobs,
+            cache=cache,
+            policy=SupervisorPolicy(
+                **{name: value for name, value in policy.items() if value is not None}
+            ),
+            journal=resume,
+            resume=bool(resume),
+            worker_faults=worker_faults,
+        )
     if jobs is None or jobs == 1:
         return SerialRunner(cache=cache)
     return ProcessPoolRunner(max_workers=jobs or None, cache=cache)

@@ -1,5 +1,7 @@
 """The ``--shards`` surface: stamp/chaos/fig10 flags, guards, env."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -79,3 +81,30 @@ class TestObservedShards:
         assert main(["metrics", "ssca2", "ClusterTM", "--threads", "4",
                      "--shards", "2", "--scale", "0.1"]) == 0
         assert "shard.single_commits" in capsys.readouterr().out
+
+
+#: one minimal invocation per verb that takes --shards.
+SHARDED_VERBS = {
+    "stamp": ["stamp", "ssca2", "ClusterTM", "--scale", "0.1"],
+    "chaos": ["chaos", "ssca2", "--schedule", "drop", "--scale", "0.1"],
+    "fig10": ["fig10", "--scale", "0.1", "--workloads", "ssca2", "--threads", "4"],
+    "trace": ["trace", "ssca2", "ClusterTM", "--scale", "0.1", "--out", "unused.json"],
+    "metrics": ["metrics", "ssca2", "ClusterTM", "--scale", "0.1"],
+}
+
+
+class TestShardsBelowOne:
+    """A shard count below 1 is refused on every verb, by ExperimentSpec,
+    never coerced to a single-node run."""
+
+    @pytest.mark.parametrize("verb", sorted(SHARDED_VERBS))
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_flag_rejected(self, verb, count, capsys):
+        assert main(SHARDED_VERBS[verb] + ["--shards", count]) == 1
+        assert "shards must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", sorted(SHARDED_VERBS))
+    def test_env_rejected(self, verb, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARDS", "0")
+        assert main(SHARDED_VERBS[verb]) == 1
+        assert "shards must be at least 1" in capsys.readouterr().err

@@ -113,3 +113,23 @@ class TestDefaultRunner:
         sized = default_runner(0)
         assert isinstance(sized, ProcessPoolRunner)
         assert sized.max_workers == multiprocessing.cpu_count()
+
+    def test_any_supervision_keyword_supervises(self, tmp_path):
+        from repro.exec import SupervisedRunner
+        from repro.faults import WorkerFaultPlan
+
+        for keywords in (
+            {"timeout": 30.0},
+            {"max_retries": 0},
+            {"resume": str(tmp_path / "sweep.jsonl")},
+            {"worker_faults": WorkerFaultPlan.parse("crash@0")},
+        ):
+            runner = default_runner(2, **keywords)
+            assert isinstance(runner, SupervisedRunner), keywords
+            assert runner.max_workers == 2
+        runner = default_runner(None, timeout=30.0, max_retries=0)
+        assert runner.max_workers == 1
+        assert (runner.policy.timeout_s, runner.policy.max_retries) == (30.0, 0)
+        assert not runner.resume
+        journaled = default_runner(None, resume=str(tmp_path / "sweep.jsonl"))
+        assert journaled.resume and journaled.policy.max_retries == 2

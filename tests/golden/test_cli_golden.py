@@ -154,10 +154,10 @@ def golden_text() -> str:
     return json.dumps(document, indent=1, sort_keys=True) + "\n"
 
 
-def _clear_repro_env(setenv_or_del):
+def _clear_repro_env(delete):
     for name in sorted(os.environ):
         if name.startswith("REPRO_"):
-            setenv_or_del(name)
+            delete(name)
 
 
 def test_surface_reproduced(monkeypatch):

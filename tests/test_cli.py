@@ -325,3 +325,34 @@ class TestSupervisedCli:
         assert main(base + ["--stamp-json", str(out), "--resume", journal]) == 0
         assert "from journal" in capsys.readouterr().err
         assert ref.read_bytes() == out.read_bytes()
+
+
+class TestChaosSanitizeRefusals:
+    """``chaos --sanitize`` replays through the single-node harness, which
+    has no runner: flags it would silently ignore are refused instead."""
+
+    BASE = ["chaos", "ssca2", "--sanitize", "--schedule", "drop", "--scale", "0.1"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--jobs", "2"],
+            ["--cache", "unused-cache"],
+            ["--timeout", "120"],
+            ["--max-retries", "1"],
+            ["--resume", "unused.jsonl"],
+            ["--worker-faults", "crash@0"],
+            ["--irrevocable-after", "3"],
+            ["--shards", "2"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_flag_refused(self, flags, capsys):
+        assert main(self.BASE + flags) == 1
+        err = capsys.readouterr().err
+        assert "single-node" in err and flags[0] in err
+
+    def test_supervision_env_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_TIMEOUT", "120")
+        assert main(self.BASE) == 1
+        assert "--timeout" in capsys.readouterr().err
