@@ -28,22 +28,21 @@ by construction the run is bit-identical to a plain
 :class:`RococoTMBackend` — the regression gate of docs/CLUSTER.md.
 
 The irrevocable escape hatch (forced by validation-path outages, or by
-``irrevocable_after``) is *cluster-wide* at N > 1: a global lock
-fences all nodes, reads bypass the shards (direct loads behind each
-shard's write-back barrier), and the commit enters each touched
-shard's window as an external commit — mirroring the single-node
-mechanics one level up.
+``irrevocable_after``) is *cluster-wide* at N > 1: the same
+:class:`~repro.runtime.coarse_lock.IrrevocableHatch` a single node
+holds, one level up.  Its lock fences all nodes, reads bypass the
+shards (direct loads behind each shard's write-back barrier), and the
+commit publishes each touched shard's slice through that shard's own
+commit path as an external commit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..hw.link import harp2_cci_link
 from ..runtime.api import TransactionAborted
 from ..runtime.backend import TMBackend
-from ..runtime.coarse_lock import GlobalLock
+from ..runtime.coarse_lock import IrrevocableHatch
 from ..runtime.events import SimEvent
 from ..runtime.rococotm import (
     BEGIN_NS,
@@ -58,17 +57,6 @@ from ..signatures import SignatureConfig
 from .coordinator import Coordinator
 from .partition import Partitioner, make_partitioner
 from .router import Router
-
-
-@dataclass
-class _IrrevTxn:
-    """Cluster-level irrevocable transaction: shards are bypassed, so
-    the cluster itself keeps the redo log and per-shard write sets
-    (reads are not recorded — mirroring the single-node irrevocable
-    path, which also skips read bookkeeping under the global fence)."""
-
-    writes: Dict[int, List[int]] = field(default_factory=dict)
-    redo: Dict[int, Any] = field(default_factory=dict)
 
 
 class ClusterTMBackend(TMBackend):
@@ -99,7 +87,6 @@ class ClusterTMBackend(TMBackend):
             raise ValueError("need at least one shard")
         self.shards_n = shards
         self.partitioner: Partitioner = make_partitioner(partition, shards)
-        self.irrevocable_after = irrevocable_after
         shard_irrevocable = irrevocable_after if shards == 1 else None
         self.shards: List[RococoTMBackend] = []
         for sid in range(shards):
@@ -125,13 +112,12 @@ class ClusterTMBackend(TMBackend):
         self.interlink = self.coordinator.interlink
         #: tid -> shard ids opened this attempt, in open order.
         self._open: Dict[int, List[int]] = {}
-        self._failures: Dict[int, int] = {}
-        self._force_irrevocable: set = set()
-        self._lock = GlobalLock()
-        self._irrevocable: set = set()
-        self._irrev: Dict[int, _IrrevTxn] = {}
-        self._watchers: List[int] = []
-        self.stats_irrevocable_commits = 0
+        self.hatch = IrrevocableHatch(irrevocable_after)
+        #: tid -> shard id -> redo slice of a cluster-level irrevocable
+        #: transaction.  Shards are bypassed, so the cluster keeps the
+        #: redo log; reads go unrecorded, as on a single node under the
+        #: global fence.
+        self._irrev: Dict[int, Dict[int, Dict[int, Any]]] = {}
 
     # ------------------------------------------------------------------
     def attach(self, driver) -> None:
@@ -152,6 +138,10 @@ class ClusterTMBackend(TMBackend):
             for shard in self.shards:
                 shard._scale = scale
 
+    @property
+    def stats_irrevocable_commits(self) -> int:
+        return self.hatch.commits
+
     def _node_threads(self, node: int) -> int:
         """How many threads node *node* hosts under round-robin
         pinning."""
@@ -170,17 +160,9 @@ class ClusterTMBackend(TMBackend):
     def begin(self, tid: int, now: float) -> float:
         if self.shards_n == 1:
             return self.shards[0].begin(tid, now)
-        if self._lock.held:
-            self._watchers.append(tid)
-            self.driver.park(tid)
-        if tid in self._force_irrevocable or (
-            self.irrevocable_after is not None
-            and self._failures.get(tid, 0) >= self.irrevocable_after
-        ):
-            at = self._lock.acquire(tid, now, self.driver)
-            self._irrevocable.add(tid)
-            self._force_irrevocable.discard(tid)
-            self._irrev[tid] = _IrrevTxn()
+        at = self.hatch.enter(tid, now, self.driver)
+        if tid in self.hatch.active:
+            self._irrev[tid] = {}
             return at + self.scaled(BEGIN_NS)
         home = self._home(tid)
         self._open[tid] = [home]
@@ -190,7 +172,7 @@ class ClusterTMBackend(TMBackend):
     def read(self, tid: int, addr: int, now: float) -> Tuple[Any, float]:
         if self.shards_n == 1:
             return self.shards[0].read(tid, addr, now)
-        if tid in self._irrevocable:
+        if tid in self.hatch.active:
             return self._read_irrevocable(tid, addr, now)
         sid = self.partitioner.shard_of(addr)
         shard = self.shards[sid]
@@ -226,17 +208,17 @@ class ClusterTMBackend(TMBackend):
         return at
 
     def _read_irrevocable(self, tid: int, addr: int, now: float) -> Tuple[Any, float]:
-        state = self._irrev[tid]
-        if addr in state.redo:
-            return state.redo[addr], now + self.scaled(READ_BASE_NS)
         sid = self.partitioner.shard_of(addr)
+        redo = self._irrev[tid].get(sid, {})
+        if addr in redo:
+            return redo[addr], now + self.scaled(READ_BASE_NS)
         remote = sid != self._home(tid)
         at = now
         if remote:
             at += self.interlink.request_ns(1)
         # The global fence stops new commits, but write-backs already
         # in flight on the owning shard must drain first.
-        at = self.shards[sid].drain_writebacks(addr, at)
+        at = self.shards[sid].update_set_barrier(addr, at)
         value = self.memory.load(addr)
         at += self.scaled(READ_BASE_NS)
         if remote:
@@ -247,14 +229,12 @@ class ClusterTMBackend(TMBackend):
     def write(self, tid: int, addr: int, value: Any, now: float) -> float:
         if self.shards_n == 1:
             return self.shards[0].write(tid, addr, value, now)
-        if tid in self._irrevocable:
-            state = self._irrev[tid]
-            sid = self.partitioner.shard_of(addr)
-            if addr not in state.redo:
-                state.writes.setdefault(sid, []).append(addr)
-            state.redo[addr] = value
-            return now + self.scaled(WRITE_NS)
         sid = self.partitioner.shard_of(addr)
+        if tid in self.hatch.active:
+            # Per-thread state, like _open[tid]: only tid touches it.
+            slices = self._irrev[tid]
+            slices.setdefault(sid, {})[addr] = value
+            return now + self.scaled(WRITE_NS)
         # Writes are redo-buffered on the owning shard's bookkeeping
         # with no hop: the data travels with the commit (prepare for
         # cross-shard, the validation request for single-shard).
@@ -265,12 +245,9 @@ class ClusterTMBackend(TMBackend):
     def commit(self, tid: int, now: float) -> float:
         if self.shards_n == 1:
             return self.shards[0].commit(tid, now)
-        if tid in self._irrevocable:
+        if tid in self.hatch.active:
             return self._commit_irrevocable(tid, now)
-        if self._lock.held:
-            # Same fence as a single node: committing under a running
-            # irrevocable transaction would invalidate its reads.
-            raise TransactionAborted("cpu-irrevocable-fence")
+        self.hatch.fence()
 
         home = self._home(tid)
         involved, idle = self.router.classify(tid, self._open.get(tid, []))
@@ -280,7 +257,7 @@ class ClusterTMBackend(TMBackend):
         if not involved:
             # The body touched nothing at all: trivially read-only.
             self._open.pop(tid, None)
-            self._failures[tid] = 0
+            self.hatch.succeeded(tid)
             self.stats.read_only_commits += 1
             return now + self.scaled(COMMIT_RO_NS)
 
@@ -289,7 +266,7 @@ class ClusterTMBackend(TMBackend):
         else:
             at = self._commit_cross(tid, involved, home, now)
         self._open.pop(tid, None)
-        self._failures[tid] = 0
+        self.hatch.succeeded(tid)
         return at
 
     def _commit_single(self, tid: int, sid: int, home: int, now: float) -> float:
@@ -309,10 +286,11 @@ class ClusterTMBackend(TMBackend):
         try:
             at = shard.commit(tid, at)
         except TransactionAborted:
-            if shard.take_forced_irrevocable(tid):
+            if tid in shard.hatch.forced:
                 # The shard's validation ladder bottomed out; escalate
                 # to the cluster-wide irrevocable escape hatch.
-                self._force_irrevocable.add(tid)
+                shard.hatch.forced.discard(tid)
+                self.hatch.forced.add(tid)
             raise
         if remote and n_write:
             at += self.interlink.response_ns()
@@ -348,25 +326,12 @@ class ClusterTMBackend(TMBackend):
         return at
 
     def _commit_irrevocable(self, tid: int, now: float) -> float:
-        state = self._irrev.pop(tid)
-        total_writes = sum(len(addrs) for addrs in state.writes.values())
+        slices = self._irrev.pop(tid)
+        total_writes = sum(len(redo) for redo in slices.values())
         writeback_end = now + self.scaled(WRITEBACK_PER_WORD_NS * total_writes)
-        for sid in sorted(state.writes):
-            addrs = state.writes[sid]
-            self.shards[sid].external_irrevocable_commit(
-                (),
-                tuple(addrs),
-                [(addr, state.redo[addr]) for addr in addrs],
-                writeback_end,
-            )
-        self._irrevocable.discard(tid)
-        self._failures[tid] = 0
-        self.stats_irrevocable_commits += 1
-        ready = self._lock.release(tid, writeback_end, self.driver)
-        for watcher in self._watchers:
-            self.driver.wake_at(watcher, ready)
-        self._watchers.clear()
-        return ready
+        for sid in sorted(slices):
+            self.shards[sid].external_irrevocable_commit(slices[sid], writeback_end)
+        return self.hatch.release(tid, writeback_end, self.driver)
 
     # ------------------------------------------------------------------
     def rollback(self, tid: int, now: float, cause: str) -> float:
@@ -375,8 +340,7 @@ class ClusterTMBackend(TMBackend):
         for sid in sorted(self._open.pop(tid, [])):
             self.shards[sid].drop_txn(tid)
         self._irrev.pop(tid, None)
-        self._irrevocable.discard(tid)
-        self._failures[tid] = self._failures.get(tid, 0) + 1
+        self.hatch.failed(tid)
         return now + self.scaled(ROLLBACK_NS)
 
     # ------------------------------------------------------------------

@@ -97,9 +97,10 @@ class Coordinator:
 
         driver = cluster.driver
         if driver.wants("validate"):
+            # Each prepare tiles the owning shard's hw lanes in the trace.
             for sid, request, response, vote_ready in votes:
-                self._publish_prepare(
-                    driver, tid, sid, request, response, vote_ready
+                cluster.shards[sid].publish_validation(
+                    tid, request, response, vote_ready, "xshard"
                 )
         if driver.wants("xshard"):
             driver.emit(
@@ -132,42 +133,3 @@ class Coordinator:
                 end += self.interlink.request_ns(1)  # the decide message
             shard.apply_cross_shard_commit(tid, end)
         return decided
-
-    # ------------------------------------------------------------------
-    def _publish_prepare(
-        self, driver, tid: int, sid: int, request, response, vote_ready: float
-    ) -> None:
-        """One ``validate`` event per prepare, in the same shape the
-        single-node commit path publishes, so each prepare tiles the
-        owning shard's hw lanes in the trace (mode ``xshard``)."""
-        shard = self.cluster.shards[sid]
-        occupancy = shard.engine.occupancy_cycles(request)
-        detect_done = min(
-            response.finished_ns,
-            response.started_ns + shard.engine.clock.cycles_to_ns(occupancy),
-        )
-        driver.emit(
-            SimEvent(
-                "validate",
-                tid,
-                vote_ready,
-                start=response.sent_ns,
-                data={
-                    "label": request.label,
-                    "sent_ns": response.sent_ns,
-                    "arrived_ns": response.arrived_ns,
-                    "started_ns": response.started_ns,
-                    "detect_done_ns": detect_done,
-                    "finished_ns": response.finished_ns,
-                    "ready_ns": vote_ready,
-                    "n_read": len(request.read_addrs),
-                    "n_write": len(request.write_addrs),
-                    "occupancy_cycles": occupancy,
-                    "committed": response.verdict.committed,
-                    "reason": response.verdict.reason,
-                    "window_resident": shard.engine.manager.detector.resident,
-                    "mode": "xshard",
-                    "shard": sid,
-                },
-            )
-        )

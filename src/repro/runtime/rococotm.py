@@ -41,7 +41,7 @@ from ..hw import FpgaValidationEngine, SoftwareValidationEngine, ValidationReque
 from ..signatures import BloomSignature, SignatureConfig
 from .api import TransactionAborted
 from .backend import TMBackend
-from .coarse_lock import GlobalLock
+from .coarse_lock import IrrevocableHatch
 from .events import SimEvent
 
 BEGIN_NS = 10.0
@@ -148,13 +148,7 @@ class RococoTMBackend(TMBackend):
         self._updates: List[_UpdateEntry] = []
         self._txns: Dict[int, _TxnState] = {}
         self._label = 0
-        self.irrevocable_after = irrevocable_after
-        self._failures: Dict[int, int] = {}
-        self._force_irrevocable: set = set()
-        self._irrevocable_lock = GlobalLock()
-        self._irrevocable: set = set()
-        self._lock_watchers: List[int] = []
-        self.stats_irrevocable_commits = 0
+        self.hatch = IrrevocableHatch(irrevocable_after)
         #: which cluster shard this instance is (0 on a single node);
         #: set by ClusterTMBackend so validate events land on the
         #: right per-shard hw lanes in the trace.
@@ -170,23 +164,13 @@ class RococoTMBackend(TMBackend):
         self.degradation.bus = driver.bus
         self.engine.bus = driver.bus
 
+    @property
+    def stats_irrevocable_commits(self) -> int:
+        return self.hatch.commits
+
     # ------------------------------------------------------------------
     def begin(self, tid: int, now: float) -> float:
-        if self._irrevocable_lock.held:
-            # An irrevocable transaction runs exclusively: optimistic
-            # readers could not keep a consistent snapshot against its
-            # in-place writes, so everyone waits for it to finish.
-            self._lock_watchers.append(tid)
-            self.driver.park(tid)
-        if tid in self._force_irrevocable or (
-            self.irrevocable_after is not None
-            and self._failures.get(tid, 0) >= self.irrevocable_after
-        ):
-            at = self._irrevocable_lock.acquire(tid, now, self.driver)
-            self._irrevocable.add(tid)
-            self._force_irrevocable.discard(tid)
-        else:
-            at = now
+        at = self.hatch.enter(tid, now, self.driver)
         ts = self.global_ts
         self._txns[tid] = _TxnState(
             local_ts=ts,
@@ -207,15 +191,13 @@ class RococoTMBackend(TMBackend):
         if addr in txn.redo:  # lines 1-3
             return txn.redo[addr], now + self.scaled(cost)
 
-        if tid in self._irrevocable:
+        # Lines 5-7: commit-time locking via the update set.
+        now = self.update_set_barrier(addr, now, txn.frozen)
+        if tid in self.hatch.active:
             # Exclusive mode: no concurrent commits can happen (the
             # optimistic commit path fences on the lock), so direct
             # loads are consistent once lingering write-backs drain.
-            now = self._update_set_barrier(txn, addr, now)
             return self.memory.load(addr), now + self.scaled(cost)
-
-        # Lines 5-7: commit-time locking via the update set.
-        now = self._update_set_barrier(txn, addr, now)
 
         value = self.memory.load(addr)  # line 8
 
@@ -249,15 +231,17 @@ class RococoTMBackend(TMBackend):
         self._record_read(txn, addr)  # line 20
         return value, now + self.scaled(cost)
 
-    def _update_set_barrier(self, txn: _TxnState, addr: int, now: float) -> float:
-        """Lines 5-7: wait out (or abort on) in-flight write-backs."""
+    def update_set_barrier(self, addr: int, now: float, frozen: bool = False) -> float:
+        """Lines 5-7: wait out in-flight write-backs covering *addr*, or
+        abort if the reader's snapshot already froze.  ClusterTM's
+        irrevocable reads call it too, with nothing to freeze."""
         while True:
             live = [u for u in self._updates if u.end_ns > now]
             self._updates = live
             blocking = [u for u in live if u.signature.query(addr)]
             if not blocking:
                 return now
-            if txn.frozen:
+            if frozen:
                 raise TransactionAborted("cpu-update-conflict")
             now = max(u.end_ns for u in blocking)  # back_off()
 
@@ -280,32 +264,25 @@ class RococoTMBackend(TMBackend):
     # ------------------------------------------------------------------
     def commit(self, tid: int, now: float) -> float:
         txn = self._txns[tid]
-        if tid in self._irrevocable:
-            return self._commit_irrevocable(tid, txn, now)
+        hatch = self.hatch
+        if tid in hatch.active:
+            # Exclusive commit: no validation needed, and the lock fences
+            # readers until the write-back ends, so no UpdateSet entry.
+            # A read-only irrevocable commit pays no write-back time.
+            end = self._writeback_end(txn, now)
+            self._publish(txn, end, label=self._label + 1, fenced=True)
+            self._txns.pop(tid, None)
+            return hatch.release(tid, end, self.driver)
         if not txn.write_addrs:
             # Read-only fast path: commits directly on the CPU (§5.3).
             self.stats.read_only_commits += 1
-            self._failures[tid] = 0
+            hatch.succeeded(tid)
             self._txns.pop(tid, None)
             return now + self.scaled(COMMIT_RO_NS)
 
-        if self._irrevocable_lock.held:
-            # An irrevocable transaction is executing against a frozen
-            # world; committing under it would invalidate its reads.
-            raise TransactionAborted("cpu-irrevocable-fence")
-
+        hatch.fence()
         # Ship addresses + ValidTS to the FPGA and wait for the verdict.
-        # The signatures accumulated during execution ride along so the
-        # engine's commit bookkeeping never re-hashes the address sets.
-        self._label += 1
-        request = ValidationRequest(
-            label=self._label,
-            read_addrs=tuple(txn.read_addrs),
-            write_addrs=tuple(txn.write_addrs),
-            snapshot=txn.valid_ts,
-            read_raw=txn.read_sig.raw,
-            write_raw=txn.write_sig.raw,
-        )
+        request = self.prepare_request(tid)
         try:
             response = self.degradation.submit(request, now, self.stats)
         except ValidationUnavailable as outage:
@@ -313,42 +290,78 @@ class RococoTMBackend(TMBackend):
             # transaction irrevocably — the global-lock rung needs no
             # validation at all (docs/FAULTS.md).
             self._mirror_phantom_slots(txn)
-            self._force_irrevocable.add(tid)
+            hatch.forced.add(tid)
             self.stats.irrevocable_fallbacks += 1
             raise TransactionAborted("fpga-unavailable", at_ns=outage.at_ns) from None
         self.stats.validation_ns += response.ready_ns - now
         self.stats.validations += 1
-        bus = self.driver.bus
-        if bus.wants("validate"):
-            self._publish_validation(bus, tid, request, response)
+        if self.driver.bus.wants("validate"):
+            self.publish_validation(
+                tid, request, response, response.ready_ns, self.degradation.mode
+            )
         if not response.verdict.committed:
             self._mirror_phantom_slots(txn)
             cause = "fpga-" + (response.verdict.reason or "cycle")
             raise TransactionAborted(cause)
 
-        # Publish to the update set (commit-time locking), write back,
-        # bump GlobalTS, append the write signature to the queue.  The
-        # executing thread resumes at `ready`: the write-back is the
+        # The executing thread resumes at `ready`: the write-back is the
         # Committer stage of the meta-pipeline (§5.1) and overlaps the
         # thread's next work; readers of the written addresses stay
         # blocked on the update set until it completes.
         ready = response.ready_ns
-        writeback_end = ready + self.scaled(
-            WRITEBACK_PER_WORD_NS * len(txn.write_addrs)
-        )
-        self._updates.append(_UpdateEntry(txn.write_sig, writeback_end))
+        self._publish(txn, self._writeback_end(txn, ready))
+        hatch.succeeded(tid)
+        self._txns.pop(tid, None)
+        return ready
+
+    def _writeback_end(self, txn: _TxnState, start: float) -> float:
+        return start + self.scaled(WRITEBACK_PER_WORD_NS * len(txn.write_addrs))
+
+    def _publish(
+        self,
+        txn: _TxnState,
+        writeback_end: float,
+        label: Optional[int] = None,
+        fenced: bool = False,
+    ) -> None:
+        """Algorithm 1's commit of a write set (§5.3): publish the write
+        signature to the UpdateSet until *writeback_end* (skipped when
+        *fenced*: a global lock already holds readers off), write back,
+        append to the CommitQueue and bump GlobalTS.
+
+        *label* names a commit the engine never decided (irrevocable or
+        cross-shard): it still takes a window slot, so the engine's
+        commit indices stay aligned with GlobalTS.  It is either freshly
+        minted (``self._label + 1``, irrevocable) or the one the prepare
+        minted (cross-shard).  A read-only transaction publishes nothing
+        and mints no label.
+        """
+        if not txn.write_addrs:
+            return
+        if not fenced:
+            self._updates.append(_UpdateEntry(txn.write_sig, writeback_end))
         for addr, value in txn.redo.items():
             self.memory.store(addr, value)
         self.commit_queue.append(txn.write_sig)
         self.global_ts += 1
-        self._failures[tid] = 0
-        self._txns.pop(tid, None)
-        return ready
+        if label is not None:
+            self._label = label
+            self.engine.manager.record_external_commit(
+                label,
+                tuple(txn.read_addrs),
+                tuple(txn.write_addrs),
+                read_raw=txn.read_sig.raw,
+                write_raw=txn.write_sig.raw,
+            )
 
-    def _publish_validation(self, bus, tid: int, request, response) -> None:
+    def publish_validation(
+        self, tid: int, request, response, ready_ns: float, mode: str
+    ) -> None:
         """Publish one ``validate`` event with the full hw timing
         breakdown — the raw material for the Perfetto pipeline lanes
-        and the validation-latency histograms (:mod:`repro.obs`).
+        and the validation-latency histograms (:mod:`repro.obs`).  The
+        cluster coordinator publishes each prepare through it too, with
+        its vote-arrival time and mode ``xshard``.
 
         ``detect_done_ns`` splits detector occupancy from the manager
         cycles: it is derived from the pipeline's initiation interval
@@ -360,11 +373,11 @@ class RococoTMBackend(TMBackend):
             response.finished_ns,
             response.started_ns + self.engine.clock.cycles_to_ns(occupancy),
         )
-        bus.emit(
+        self.driver.bus.emit(
             SimEvent(
                 "validate",
                 tid,
-                response.ready_ns,
+                ready_ns,
                 start=response.sent_ns,
                 data={
                     "label": request.label,
@@ -373,14 +386,14 @@ class RococoTMBackend(TMBackend):
                     "started_ns": response.started_ns,
                     "detect_done_ns": detect_done,
                     "finished_ns": response.finished_ns,
-                    "ready_ns": response.ready_ns,
+                    "ready_ns": ready_ns,
                     "n_read": len(request.read_addrs),
                     "n_write": len(request.write_addrs),
                     "occupancy_cycles": occupancy,
                     "committed": response.verdict.committed,
                     "reason": response.verdict.reason,
                     "window_resident": self.engine.manager.detector.resident,
-                    "mode": self.degradation.mode,
+                    "mode": mode,
                     "shard": self.shard_id,
                 },
             )
@@ -409,42 +422,8 @@ class RococoTMBackend(TMBackend):
             self.global_ts += 1
             self.stats.phantom_commits += 1
 
-    def _commit_irrevocable(self, tid: int, txn: _TxnState, now: float) -> float:
-        """Exclusive commit: no validation needed, but the write
-        signature still enters the commit queue so optimistic peers
-        track the snapshot correctly afterwards.  Read-only irrevocable
-        transactions write back nothing and pay no write-back time."""
-        writeback_end = now + self.scaled(
-            WRITEBACK_PER_WORD_NS * len(txn.write_addrs)
-        )
-        for addr, value in txn.redo.items():
-            self.memory.store(addr, value)
-        if txn.write_addrs:
-            self.commit_queue.append(txn.write_sig)
-            self.global_ts += 1
-            # Keep the engine-side commit indices aligned with GlobalTS:
-            # the engine never saw this commit, but later optimistic
-            # snapshots count it, so it must occupy a window slot.
-            self._label += 1
-            self.engine.manager.record_external_commit(
-                self._label,
-                tuple(txn.read_addrs),
-                tuple(txn.write_addrs),
-                read_raw=txn.read_sig.raw,
-                write_raw=txn.write_sig.raw,
-            )
-        self._irrevocable.discard(tid)
-        self._failures[tid] = 0
-        self.stats_irrevocable_commits += 1
-        self._txns.pop(tid, None)
-        ready = self._irrevocable_lock.release(tid, writeback_end, self.driver)
-        for watcher in self._lock_watchers:
-            self.driver.wake_at(watcher, ready)
-        self._lock_watchers.clear()
-        return ready
-
     def rollback(self, tid: int, now: float, cause: str) -> float:
-        self._failures[tid] = self._failures.get(tid, 0) + 1
+        self.hatch.failed(tid)
         self._txns.pop(tid, None)
         return now + self.scaled(ROLLBACK_NS)
 
@@ -469,26 +448,16 @@ class RococoTMBackend(TMBackend):
         txn = self._txns.get(tid)
         return len(txn.read_addrs) if txn is not None else 0
 
-    def take_forced_irrevocable(self, tid: int) -> bool:
-        """Consume a pending forced-irrevocable flag (set when the
-        validation ladder bottomed out); the cluster moves it up to
-        its own cluster-wide escape hatch."""
-        if tid in self._force_irrevocable:
-            self._force_irrevocable.discard(tid)
-            return True
-        return False
-
     def drop_txn(self, tid: int) -> None:
         """Forget *tid*'s per-shard state without commit/abort
         bookkeeping (cluster rollback, and idle-shard pruning)."""
         self._txns.pop(tid, None)
 
-    def clear_failures(self, tid: int) -> None:
-        self._failures[tid] = 0
-
     def prepare_request(self, tid: int) -> ValidationRequest:
-        """This shard's slice of a cross-shard transaction, as a
-        certify request (mints a fresh engine label)."""
+        """*tid*'s read/write sets and ValidTS as a validation request
+        (mints a fresh engine label).  The signatures accumulated during
+        execution ride along so the engine's commit bookkeeping never
+        re-hashes the address sets."""
         txn = self._txns[tid]
         self._label += 1
         return ValidationRequest(
@@ -506,66 +475,24 @@ class RococoTMBackend(TMBackend):
         prepares bypass fault injection (see docs/CLUSTER.md)."""
         return self.engine.certify(request, now)
 
-    def apply_cross_shard_commit(self, tid: int, decided_ns: float) -> float:
-        """Decide-phase application for one involved shard: write back
-        the redo slice, enter the window bookkeeping exactly like an
-        external (off-engine) commit, and publish the write signature
-        to the update set so readers block until write-back completes.
-        Returns the write-back end time."""
-        txn = self._txns[tid]
-        writeback_end = decided_ns + self.scaled(
-            WRITEBACK_PER_WORD_NS * len(txn.write_addrs)
-        )
-        if txn.write_addrs:
-            self._updates.append(_UpdateEntry(txn.write_sig, writeback_end))
-            for addr, value in txn.redo.items():
-                self.memory.store(addr, value)
-            self.commit_queue.append(txn.write_sig)
-            self.global_ts += 1
-            self.engine.manager.record_external_commit(
-                self._label,
-                tuple(txn.read_addrs),
-                tuple(txn.write_addrs),
-                read_raw=txn.read_sig.raw,
-                write_raw=txn.write_sig.raw,
-            )
-        self._failures[tid] = 0
-        self._txns.pop(tid, None)
-        return writeback_end
-
-    def drain_writebacks(self, addr: int, now: float) -> float:
-        """Cluster-irrevocable read barrier: wait out in-flight
-        write-backs covering *addr* (no transaction of our own to
-        freeze, so this never aborts)."""
-        while True:
-            live = [u for u in self._updates if u.end_ns > now]
-            self._updates = live
-            blocking = [u for u in live if u.signature.query(addr)]
-            if not blocking:
-                return now
-            now = max(u.end_ns for u in blocking)
+    def apply_cross_shard_commit(self, tid: int, decided_ns: float) -> None:
+        """Decide-phase application for one involved shard: publish the
+        slice from *decided_ns* as an external commit under the label
+        its prepare minted."""
+        txn = self._txns.pop(tid)
+        self._publish(txn, self._writeback_end(txn, decided_ns), label=self._label)
 
     def external_irrevocable_commit(
-        self,
-        read_addrs: Tuple[int, ...],
-        write_addrs: Tuple[int, ...],
-        redo_items,
-        writeback_end: float,
+        self, redo: Dict[int, Any], writeback_end: float
     ) -> None:
-        """Enter a cluster-level irrevocable commit's slice into this
-        shard: direct stores plus window bookkeeping (mirrors
-        :meth:`_commit_irrevocable`; the cluster lock fences readers
-        until *writeback_end*, so no update-set entry is needed)."""
-        for addr, value in redo_items:
-            self.memory.store(addr, value)
-        if write_addrs:
-            signature = self.config.of(write_addrs)
-            self.commit_queue.append(signature)
-            self.global_ts += 1
-            self._label += 1
-            self.engine.manager.record_external_commit(
-                self._label, read_addrs, write_addrs, write_raw=signature.raw
-            )
+        """Publish this shard's slice of a cluster-level irrevocable
+        commit; the cluster lock fences readers until *writeback_end*."""
+        addrs = list(redo)
+        txn = _TxnState(
+            0, 0, write_addrs=addrs, redo=redo,
+            read_sig=self.config.new(), write_sig=self.config.of(addrs),
+        )
+        self._publish(txn, writeback_end, label=self._label + 1, fenced=True)
 
     # ------------------------------------------------------------------
     def abort_backoff_scale(self, cause: str) -> float:

@@ -104,14 +104,28 @@ class TestChaosAtScale:
 
 
 class TestSanitizerOracle:
-    @pytest.mark.parametrize("workload_name", ["ssca2", "vacation"])
-    def test_multi_shard_history_serializable(self, workload_name):
+    @pytest.mark.parametrize(
+        "workload_name, shards, irrevocable_after",
+        [
+            pytest.param("ssca2", 4, None, id="ssca2"),
+            pytest.param("vacation", 4, None, id="vacation"),
+            # The cluster-wide escape hatch, taken after every abort.
+            *(
+                pytest.param(w, n, 1, id=f"{w}-shards{n}-irrevocable1")
+                for w in ("ssca2", "vacation")
+                for n in (2, 4)
+            ),
+        ],
+    )
+    def test_multi_shard_history_serializable(
+        self, workload_name, shards, irrevocable_after
+    ):
         from repro.exec.spec import WORKLOAD_REGISTRY
         from repro.sanitizer.dynamic import run_sanitized
 
         report, _, _ = run_sanitized(
             WORKLOAD_REGISTRY[workload_name],
-            ClusterTMBackend(shards=4),
+            ClusterTMBackend(shards=shards, irrevocable_after=irrevocable_after),
             8,
             scale=0.1,
             seed=1,

@@ -86,7 +86,7 @@ class TestStarvation:
 
     def test_disabled_by_default(self):
         backend = RococoTMBackend()
-        assert backend.irrevocable_after is None
+        assert backend.hatch.after is None
 
 
 class TestFence:
@@ -111,16 +111,16 @@ class TestEscapeHatchMechanics:
 
     def test_begin_parks_under_held_lock_and_wakes_in_order(self):
         backend, sim = manual_backend()
-        backend._force_irrevocable.add(0)
+        backend.hatch.forced.add(0)
         backend.begin(0, 0.0)  # takes the global lock
-        assert backend._irrevocable_lock.held
+        assert backend.hatch.lock.held
 
         # Optimistic threads cannot even begin: they park as watchers.
         with pytest.raises(ParkThread):
             backend.begin(1, 5.0)
         with pytest.raises(ParkThread):
             backend.begin(2, 6.0)
-        assert backend._lock_watchers == [1, 2]
+        assert backend.hatch.watchers == [1, 2]
         assert sim.wakes == []
 
         addr = sim.memory.alloc(1)
@@ -128,8 +128,8 @@ class TestEscapeHatchMechanics:
         ready = backend.commit(0, 100.0)
         # Both watchers wake at the release instant, in park order.
         assert sim.wakes == [(1, ready), (2, ready)]
-        assert backend._lock_watchers == []
-        assert not backend._irrevocable_lock.held
+        assert backend.hatch.watchers == []
+        assert not backend.hatch.lock.held
         assert sim.memory.load(addr) == 7
 
     def test_optimistic_writer_aborts_on_the_fence(self):
@@ -139,7 +139,7 @@ class TestEscapeHatchMechanics:
         # irrevocable: at commit it hits the fence, not the FPGA.
         backend.begin(1, 0.0)
         backend.write(1, addr, 1, 10.0)
-        backend._force_irrevocable.add(0)
+        backend.hatch.forced.add(0)
         backend.begin(0, 20.0)
         with pytest.raises(TransactionAborted) as aborted:
             backend.commit(1, 30.0)
@@ -154,7 +154,7 @@ class TestEscapeHatchMechanics:
         backend.begin(1, 0.0)
         value, at = backend.read(1, addr, 10.0)
         assert value == 41
-        backend._force_irrevocable.add(0)
+        backend.hatch.forced.add(0)
         backend.begin(0, 20.0)
         # Read-only commits never invalidate the irrevocable reader.
         backend.commit(1, at)
@@ -163,7 +163,7 @@ class TestEscapeHatchMechanics:
     def test_read_only_irrevocable_commit_pays_no_writeback(self):
         backend, sim = manual_backend()
         addr = sim.memory.alloc(1)
-        backend._force_irrevocable.add(0)
+        backend.hatch.forced.add(0)
         backend.begin(0, 0.0)
         backend.read(0, addr, 100.0)
         ready = backend.commit(0, 1_000.0)
@@ -177,7 +177,7 @@ class TestEscapeHatchMechanics:
     def test_writing_irrevocable_commit_stays_window_aligned(self):
         backend, sim = manual_backend()
         addr = sim.memory.alloc(1)
-        backend._force_irrevocable.add(0)
+        backend.hatch.forced.add(0)
         backend.begin(0, 0.0)
         backend.write(0, addr, 9, 10.0)
         backend.commit(0, 100.0)
@@ -195,5 +195,5 @@ class TestEscapeHatchMechanics:
         assert backend.stats_irrevocable_commits == 1
         assert backend.global_ts == backend.engine.manager.total_commits
         assert backend._txns == {}  # every state popped on commit/rollback
-        assert backend._force_irrevocable == set()
-        assert not backend._irrevocable_lock.held
+        assert backend.hatch.forced == set()
+        assert not backend.hatch.lock.held
