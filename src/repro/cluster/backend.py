@@ -218,7 +218,7 @@ class ClusterTMBackend(TMBackend):
             at += self.interlink.request_ns(1)
         # The global fence stops new commits, but write-backs already
         # in flight on the owning shard must drain first.
-        at = self.shards[sid].update_set_barrier(addr, at)
+        at, _ = self.shards[sid].update_set_barrier(addr, at)
         value = self.memory.load(addr)
         at += self.scaled(READ_BASE_NS)
         if remote:

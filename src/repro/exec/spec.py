@@ -111,6 +111,11 @@ class ExperimentSpec:
                 "fault schedules inject into the FPGA validation path "
                 "and require the ROCoCoTM or ClusterTM backend"
             )
+        if self.irrevocable_after is not None and self.backend not in FAULT_CAPABLE_BACKENDS:
+            raise ValueError(
+                "irrevocable_after sets the escape hatch of the hybrid "
+                "commit path and requires the ROCoCoTM or ClusterTM backend"
+            )
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
         if self.shards > 1 and self.backend != "ClusterTM":
@@ -169,6 +174,8 @@ class ExperimentSpec:
                 self.fault_seed,
                 irrevocable_after=self.irrevocable_after,
             )
+        if self.backend == "ROCoCoTM":
+            return RococoTMBackend(irrevocable_after=self.irrevocable_after)
         return BACKEND_REGISTRY[self.backend]()
 
     def make_cost_model(self) -> Optional[CostModel]:

@@ -29,7 +29,6 @@ empty-write-set transactions commit directly on the CPU (§5.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.degradation import (
@@ -38,7 +37,7 @@ from ..faults.degradation import (
     ValidationUnavailable,
 )
 from ..hw import FpgaValidationEngine, SoftwareValidationEngine, ValidationRequest
-from ..signatures import BloomSignature, SignatureConfig
+from ..signatures import SignatureConfig
 from .api import TransactionAborted
 from .backend import TMBackend
 from .coarse_lock import IrrevocableHatch
@@ -55,26 +54,39 @@ WRITEBACK_PER_WORD_NS = 7.0
 ROLLBACK_NS = 14.0
 
 
-@dataclass
 class _TxnState:
-    local_ts: int
-    valid_ts: int
-    frozen: bool = False                    # MissSet != empty
-    read_addrs: List[int] = field(default_factory=list)
-    read_sig: BloomSignature = None         # type: ignore[assignment]
-    sub_sigs: List[BloomSignature] = field(default_factory=list)
-    write_addrs: List[int] = field(default_factory=list)
-    write_sig: BloomSignature = None        # type: ignore[assignment]
-    redo: Dict[int, Any] = field(default_factory=dict)
-    miss_sig: BloomSignature = None         # type: ignore[assignment]
+    """One transaction's CPU-side state.  The signatures are raw m-bit
+    ints (§5.3's one-cacheline signatures): insert is ``|=`` of an
+    address's interned mask, union is ``|``, intersection is
+    :meth:`SignatureConfig.overlaps`."""
+
+    __slots__ = (
+        "local_ts", "valid_ts", "frozen", "read_addrs", "read_raw", "sub_raws",
+        "write_addrs", "write_raw", "redo", "miss_raw",
+    )
+
+    def __init__(self, ts: int):
+        self.local_ts = ts
+        self.valid_ts = ts
+        self.frozen = False                 # MissSet != empty
+        self.read_addrs: List[int] = []
+        self.read_raw = 0
+        #: one signature per SUBSET_SIZE consecutive reads (§5.3)
+        self.sub_raws: List[int] = []
+        self.write_addrs: List[int] = []
+        self.write_raw = 0
+        self.redo: Dict[int, Any] = {}
+        self.miss_raw = 0
 
 
-@dataclass
 class _UpdateEntry:
     """A committing transaction's write signature, live during write-back."""
 
-    signature: BloomSignature
-    end_ns: float
+    __slots__ = ("raw", "end_ns")
+
+    def __init__(self, raw: int, end_ns: float):
+        self.raw = raw
+        self.end_ns = end_ns
 
 
 class RococoTMBackend(TMBackend):
@@ -144,7 +156,8 @@ class RococoTMBackend(TMBackend):
             software.manager = self.engine.manager
         self.degradation = DegradationManager(self.engine, software, policy)
         self.global_ts = 0
-        self.commit_queue: List[BloomSignature] = []
+        #: write signatures of committed writers, indexed by GlobalTS.
+        self.commit_queue: List[int] = []
         self._updates: List[_UpdateEntry] = []
         self._txns: Dict[int, _TxnState] = {}
         self._label = 0
@@ -171,14 +184,7 @@ class RococoTMBackend(TMBackend):
     # ------------------------------------------------------------------
     def begin(self, tid: int, now: float) -> float:
         at = self.hatch.enter(tid, now, self.driver)
-        ts = self.global_ts
-        self._txns[tid] = _TxnState(
-            local_ts=ts,
-            valid_ts=ts,
-            read_sig=self.config.new(),
-            write_sig=self.config.new(),
-            miss_sig=self.config.new(),
-        )
+        self._txns[tid] = _TxnState(self.global_ts)
         return at + self.scaled(BEGIN_NS)
 
     # ------------------------------------------------------------------
@@ -186,79 +192,104 @@ class RococoTMBackend(TMBackend):
     # ------------------------------------------------------------------
     def read(self, tid: int, addr: int, now: float) -> Tuple[Any, float]:
         txn = self._txns[tid]
-        cost = READ_BASE_NS
+        redo = txn.redo
+        if addr in redo:  # lines 1-3
+            return redo[addr], now + self.scaled(READ_BASE_NS)
 
-        if addr in txn.redo:  # lines 1-3
-            return txn.redo[addr], now + self.scaled(cost)
-
-        # Lines 5-7: commit-time locking via the update set.
-        now = self.update_set_barrier(addr, now, txn.frozen)
         if tid in self.hatch.active:
             # Exclusive mode: no concurrent commits can happen (the
             # optimistic commit path fences on the lock), so direct
             # loads are consistent once lingering write-backs drain.
-            return self.memory.load(addr), now + self.scaled(cost)
+            now, _ = self.update_set_barrier(addr, now)
+            return self.memory.load(addr), now + self.scaled(READ_BASE_NS)
+
+        # Lines 9-13: fold missed commits into a TempSet.  Nothing
+        # commits during one read, so folding ahead of the update-set
+        # barrier sees the same queue.
+        config = self.config
+        cost = READ_BASE_NS
+        temp = 0
+        local_ts, global_ts = txn.local_ts, self.global_ts
+        if local_ts < global_ts:
+            for raw in self.commit_queue[local_ts:global_ts]:
+                temp |= raw
+            cost += TEMPSET_PER_ENTRY_NS * (global_ts - local_ts)
+        overlap = False
+        if temp:
+            cost += INTERSECT_NS
+            if config.overlaps(txn.read_raw, temp):
+                # Whole-set hit: re-check per 8-address subset for
+                # accuracy (§5.3).
+                cost += INTERSECT_NS * max(1, len(txn.sub_raws))
+                overlap = any(config.overlaps(s, temp) for s in txn.sub_raws)
+        freeze = txn.frozen or overlap
+
+        # Lines 5-7: commit-time locking via the update set.  A read
+        # that does not freeze cannot abort, so the barrier's lookup
+        # also counts its two inserts: one mask fetch per read.
+        mask = 0
+        if self._updates:
+            now, mask = self.update_set_barrier(addr, now, txn.frozen, 0 if freeze else 2)
 
         value = self.memory.load(addr)  # line 8
 
-        # Lines 9-13: fold missed commits into a TempSet.
-        temp = self.config.new()
-        entries = 0
-        while txn.local_ts < self.global_ts:
-            temp.unite(self.commit_queue[txn.local_ts])
-            txn.local_ts += 1
-            entries += 1
-        cost += TEMPSET_PER_ENTRY_NS * entries
-
         # Lines 14-19 + the Fig. 8(b) extension.
-        if entries or txn.frozen:
-            overlap = False
-            if not temp.is_empty():
-                cost += INTERSECT_NS
-                if txn.read_sig.intersects(temp):
-                    # Whole-set hit: re-check per 8-address subset for
-                    # accuracy (§5.3).
-                    cost += INTERSECT_NS * max(1, len(txn.sub_sigs))
-                    overlap = any(s.intersects(temp) for s in txn.sub_sigs)
-            if txn.frozen or overlap:
-                txn.miss_sig.unite(temp)
-                txn.frozen = True
-                if txn.miss_sig.query(addr):
-                    raise TransactionAborted("cpu-miss")
-            else:
-                txn.valid_ts = txn.local_ts  # snapshot extension
+        txn.local_ts = global_ts
+        if freeze:
+            txn.miss_raw |= temp
+            txn.frozen = True
+            mask = config.mask(addr)
+            if txn.miss_raw & mask == mask:
+                raise TransactionAborted("cpu-miss")
+            config.mask(addr, 2)  # the inserts, counted once the test passed
+        else:
+            if local_ts < global_ts:
+                txn.valid_ts = global_ts  # snapshot extension
+            if not mask:
+                mask = config.mask(addr, 2)
 
-        self._record_read(txn, addr)  # line 20
+        # Line 20: insert into the read set and its current subset.
+        if len(txn.read_addrs) % SUBSET_SIZE:
+            txn.sub_raws[-1] |= mask
+        else:
+            txn.sub_raws.append(mask)
+        txn.read_raw |= mask
+        txn.read_addrs.append(addr)
         return value, now + self.scaled(cost)
 
-    def update_set_barrier(self, addr: int, now: float, frozen: bool = False) -> float:
+    def update_set_barrier(
+        self, addr: int, now: float, frozen: bool = False, uses: int = 0
+    ) -> Tuple[float, int]:
         """Lines 5-7: wait out in-flight write-backs covering *addr*, or
         abort if the reader's snapshot already froze.  ClusterTM's
-        irrevocable reads call it too, with nothing to freeze."""
+        irrevocable reads call it too, with nothing to freeze.
+
+        Returns the time and *addr*'s mask, or 0 if no live entry
+        needed it; the mask lookup counts one use per entry tested plus
+        *uses* further ones of the caller's."""
+        mask = 0
         while True:
             live = [u for u in self._updates if u.end_ns > now]
             self._updates = live
-            blocking = [u for u in live if u.signature.query(addr)]
+            if not live:
+                return now, mask
+            mask = self.config.mask(addr, len(live) + uses)
+            uses = 0
+            blocking = [u.end_ns for u in live if u.raw & mask == mask]
             if not blocking:
-                return now
+                return now, mask
             if frozen:
                 raise TransactionAborted("cpu-update-conflict")
-            now = max(u.end_ns for u in blocking)  # back_off()
-
-    def _record_read(self, txn: _TxnState, addr: int) -> None:
-        txn.read_sig.insert(addr)
-        if len(txn.read_addrs) % SUBSET_SIZE == 0:
-            txn.sub_sigs.append(self.config.new())
-        txn.sub_sigs[-1].insert(addr)
-        txn.read_addrs.append(addr)
+            now = max(blocking)  # back_off()
 
     # ------------------------------------------------------------------
     def write(self, tid: int, addr: int, value: Any, now: float) -> float:
         txn = self._txns[tid]
-        if addr not in txn.redo:
+        redo = txn.redo
+        if addr not in redo:
             txn.write_addrs.append(addr)
-            txn.write_sig.insert(addr)
-        txn.redo[addr] = value  # lines 21-22
+            txn.write_raw |= self.config.mask(addr)
+        redo[addr] = value  # lines 21-22
         return now + self.scaled(WRITE_NS)
 
     # ------------------------------------------------------------------
@@ -339,10 +370,10 @@ class RococoTMBackend(TMBackend):
         if not txn.write_addrs:
             return
         if not fenced:
-            self._updates.append(_UpdateEntry(txn.write_sig, writeback_end))
+            self._updates.append(_UpdateEntry(txn.write_raw, writeback_end))
         for addr, value in txn.redo.items():
             self.memory.store(addr, value)
-        self.commit_queue.append(txn.write_sig)
+        self.commit_queue.append(txn.write_raw)
         self.global_ts += 1
         if label is not None:
             self._label = label
@@ -350,8 +381,8 @@ class RococoTMBackend(TMBackend):
                 label,
                 tuple(txn.read_addrs),
                 tuple(txn.write_addrs),
-                read_raw=txn.read_sig.raw,
-                write_raw=txn.write_sig.raw,
+                read_raw=txn.read_raw,
+                write_raw=txn.write_raw,
             )
 
     def publish_validation(
@@ -418,7 +449,7 @@ class RococoTMBackend(TMBackend):
         """
         manager = self.engine.manager
         while self.global_ts < manager.total_commits:
-            self.commit_queue.append(txn.write_sig)
+            self.commit_queue.append(txn.write_raw)
             self.global_ts += 1
             self.stats.phantom_commits += 1
 
@@ -465,8 +496,8 @@ class RococoTMBackend(TMBackend):
             read_addrs=tuple(txn.read_addrs),
             write_addrs=tuple(txn.write_addrs),
             snapshot=txn.valid_ts,
-            read_raw=txn.read_sig.raw,
-            write_raw=txn.write_sig.raw,
+            read_raw=txn.read_raw,
+            write_raw=txn.write_raw,
         )
 
     def certify(self, request: ValidationRequest, now: float):
@@ -487,11 +518,10 @@ class RococoTMBackend(TMBackend):
     ) -> None:
         """Publish this shard's slice of a cluster-level irrevocable
         commit; the cluster lock fences readers until *writeback_end*."""
-        addrs = list(redo)
-        txn = _TxnState(
-            0, 0, write_addrs=addrs, redo=redo,
-            read_sig=self.config.new(), write_sig=self.config.of(addrs),
-        )
+        txn = _TxnState(0)
+        txn.write_addrs = list(redo)
+        txn.write_raw = self.config.raw_of(txn.write_addrs)
+        txn.redo = redo
         self._publish(txn, writeback_end, label=self._label + 1, fenced=True)
 
     # ------------------------------------------------------------------

@@ -45,6 +45,7 @@ class SignatureConfig:
         "partitions",
         "partition_bits",
         "hashes",
+        "_lanes",
         "_index",
         "_masks",
         "_positions",
@@ -69,6 +70,9 @@ class SignatureConfig:
         self.partitions = partitions
         self.partition_bits = partition_bits
         self.hashes = hash_family(partitions, partition_bits.bit_length() - 1, seed)
+        # One m-bit mask per partition, for the k-AND overlap test.
+        lane = (1 << partition_bits) - 1
+        self._lanes = tuple(lane << (i * partition_bits) for i in range(partitions))
         # addr -> row index into the interned mask/position lists.
         self._index: Dict[int, int] = {}
         self._masks: List[int] = []
@@ -83,26 +87,20 @@ class SignatureConfig:
     def mask_cache_entries(self) -> int:
         return len(self._masks)
 
-    def _append(self, element: int, positions: Tuple[int, ...]) -> None:
-        mask = 0
-        for pos in positions:
-            mask |= 1 << pos
-        self._index[element] = len(self._masks)
-        self._masks.append(mask)
-        self._positions.append(positions)
-
     def _intern(self, element: int) -> int:
         row = self._index.get(element)
         if row is not None:
             self.mask_cache_hits += 1
             return row
         width = self.partition_bits
-        self._append(
-            element,
-            tuple(lane * width + h(element) for lane, h in enumerate(self.hashes)),
-        )
+        positions = tuple(lane * width + h(element) for lane, h in enumerate(self.hashes))
+        row = len(self._masks)
+        self._index[element] = row
+        # One bit per partition: the sum is the OR.
+        self._masks.append(sum(1 << pos for pos in positions))
+        self._positions.append(positions)
         self.mask_cache_misses += 1
-        return len(self._masks) - 1
+        return row
 
     def intern_rows(self, elements: Sequence[int]) -> List[int]:
         """Row indices into the interned store for *elements*,
@@ -115,9 +113,16 @@ class SignatureConfig:
         self.mask_cache_hits += len(elements)
         return rows
 
-    def query_mask(self, element: int) -> int:
-        """The packed m-bit query mask of *element* (all k bits set)."""
-        return self._masks[self._intern(element)]
+    def mask(self, element: int, uses: int = 1) -> int:
+        """The packed m-bit query mask of *element* (all k bits set),
+        counted as *uses* lookups: interning a first-touch element is
+        the first of them (a miss), every other one is a hit."""
+        row = self._index.get(element)
+        if row is None:
+            row = self._intern(element)
+            uses -= 1
+        self.mask_cache_hits += uses
+        return self._masks[row]
 
     def query_positions(self, elements: Sequence[int]) -> List[Tuple[int, ...]]:
         """The k bit positions of each address in a batch — the
@@ -134,10 +139,23 @@ class SignatureConfig:
         return BloomSignature(self)
 
     def of(self, elements: Iterable[int]) -> "BloomSignature":
-        sig = self.new()
-        for element in elements:
-            sig.insert(element)
-        return sig
+        return BloomSignature(self, self.raw_of(tuple(elements)))
+
+    def overlaps(self, a: int, b: int) -> bool:
+        """Set-overlap test of two raw signatures, the operation whose
+        false positivity Fig. 7(b) analyses.  A shared element sets one
+        bit per partition in both, so their AND must be non-zero in
+        **every** partition: k ANDs against the partition masks (a bare
+        non-zero AND would make partitioned filters useless for
+        intersection).  Sound: True for any real overlap; may be True
+        spuriously."""
+        both = a & b
+        if not both:
+            return False
+        for lane in self._lanes:
+            if not both & lane:
+                return False
+        return True
 
     def raw_of(self, elements: Sequence[int]) -> int:
         """The packed signature of an address batch, via the cache:
@@ -160,7 +178,7 @@ class BloomSignature:
 
     # ------------------------------------------------------------------
     def insert(self, element: int) -> None:
-        self.raw |= self.config.query_mask(element)
+        self.raw |= self.config.mask(element)
 
     def query(self, element: int) -> bool:
         """Membership test: no false negatives, tunable false positives.
@@ -168,7 +186,7 @@ class BloomSignature:
         One cached-mask AND-compare — the common miss costs a single
         big-int AND instead of k per-bit probes.
         """
-        mask = self.config.query_mask(element)
+        mask = self.config.mask(element)
         return self.raw & mask == mask
 
     def is_empty(self) -> bool:
@@ -192,27 +210,9 @@ class BloomSignature:
         return BloomSignature(self.config, self.raw & other.raw)
 
     def intersects(self, other: "BloomSignature") -> bool:
-        """Set-overlap test — the operation whose false positivity
-        Fig. 7(b) analyses.
-
-        A shared element sets one bit per partition in *both*
-        signatures, so the AND of the signatures must be non-zero in
-        **every** partition; requiring all k partitions (rather than a
-        bare non-zero AND) is what makes partitioned filters usable for
-        intersection at all.  Sound: returns True for any real overlap;
-        may return True spuriously.
-        """
+        """Set-overlap test (:meth:`SignatureConfig.overlaps`)."""
         self._compatible(other)
-        both = self.raw & other.raw
-        if both == 0:
-            return False
-        width = self.config.partition_bits
-        mask = (1 << width) - 1
-        for _ in range(self.config.partitions):
-            if both & mask == 0:
-                return False
-            both >>= width
-        return True
+        return self.config.overlaps(self.raw, other.raw)
 
     def copy(self) -> "BloomSignature":
         return BloomSignature(self.config, self.raw)

@@ -31,6 +31,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentSpec("kmeans", "TinySTM", 2, faults="drop")
 
+    @pytest.mark.parametrize("backend", ["TinySTM", "TSX", "sequential"])
+    def test_irrevocable_after_requires_a_hatch(self, backend):
+        with pytest.raises(ValueError, match="irrevocable_after"):
+            ExperimentSpec("kmeans", backend, 2, irrevocable_after=1)
+
+    @pytest.mark.parametrize("faults", [None, "drop"])
+    def test_irrevocable_after_reaches_rococotm(self, faults):
+        spec = ExperimentSpec(
+            "vacation", "ROCoCoTM", 8, scale=0.1, faults=faults, irrevocable_after=1
+        )
+        assert spec.make_backend().hatch.after == 1
+
     def test_unknown_cost_field(self):
         with pytest.raises(ValueError):
             ExperimentSpec("kmeans", "TinySTM", 2, cost_model=(("warp_speed", 2.0),))

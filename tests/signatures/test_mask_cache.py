@@ -51,20 +51,20 @@ class TestMaskCacheTransparency:
         bits, partitions, seed = geo
         config = SignatureConfig(bits, partitions, seed=seed)
         for e in elements:
-            assert config.query_mask(e) == _uncached_mask(config, e)
+            assert config.mask(e) == _uncached_mask(config, e)
             assert config.bit_positions(e) == _uncached_positions(config, e)
 
     @given(geometries, element_lists)
     @settings(max_examples=60)
     def test_batch_and_scalar_intern_agree(self, geo, elements):
         """One config interns through ``intern_rows``, another one
-        ``query_mask`` at a time; masks, rows, and positions must agree."""
+        ``mask`` at a time; masks, rows, and positions must agree."""
         bits, partitions, seed = geo
         batched = SignatureConfig(bits, partitions, seed=seed)
         scalar = SignatureConfig(bits, partitions, seed=seed)
         batched.intern_rows(elements)
         for e in elements:
-            scalar.query_mask(e)
+            scalar.mask(e)
         assert batched._masks == scalar._masks
         assert batched._index == scalar._index
         assert batched._positions == scalar._positions
@@ -97,7 +97,7 @@ class TestMaskCacheTransparency:
         config.intern_rows([1, 2, 4])
         assert config.mask_cache_misses == 4
         assert config.mask_cache_hits == 2
-        config.query_mask(1)
+        config.mask(1)
         assert config.mask_cache_hits == 3
         assert config.mask_cache_entries == 4
         # A first touch repeated within one batch is one miss, one hit.
@@ -112,4 +112,4 @@ class TestMaskCacheTransparency:
         rows = config.intern_rows(elements)
         assert list(rows) == list(range(1000))
         for e in (0, 500, 999):
-            assert config.query_mask(e) == _uncached_mask(config, e)
+            assert config.mask(e) == _uncached_mask(config, e)

@@ -69,3 +69,33 @@ class TestSignatureLaws:
             # Every non-empty signature sets at least one bit in each
             # of the k partitions (one per element, possibly shared).
             assert sig.popcount() >= CONFIG.partitions
+
+
+def _overlaps_reference(config, a, b):
+    """Per-partition reference: every m/k-bit slice of ``a & b`` is non-zero."""
+    width = config.partition_bits
+    lane = (1 << width) - 1
+    return all((a & b) >> (i * width) & lane for i in range(config.partitions))
+
+
+@st.composite
+def geometry_and_raws(draw):
+    partitions = draw(st.integers(min_value=1, max_value=8))
+    bits = partitions << draw(st.integers(min_value=1, max_value=7))
+    raw = st.builds(
+        lambda positions: sum(1 << p for p in positions),
+        st.sets(st.integers(min_value=0, max_value=bits - 1), max_size=bits // 2),
+    )
+    return SignatureConfig(bits, partitions), draw(raw), draw(raw)
+
+
+class TestOverlaps:
+    @given(geometry_and_raws())
+    @settings(max_examples=200)
+    def test_overlaps_equals_per_partition_reference(self, case):
+        config, a, b = case
+        expected = _overlaps_reference(config, a, b)
+        assert config.overlaps(a, b) == expected
+        assert config.overlaps(b, a) == expected
+        sa, sb = BloomSignature(config, a), BloomSignature(config, b)
+        assert sa.intersects(sb) == expected
