@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..core.reachability import ReachabilityClosure, ValidationResult
+from ..core.window import WindowMatrix
 from .engine import INITIAL, CommittedTxn, TraceCC, TxnView
 
 
@@ -33,21 +33,24 @@ class RococoCC(TraceCC):
     name = "ROCoCo"
 
     def __init__(self, concurrency: int, window: int = 0, read_placement: str = "start"):
-        """``window`` bounds the closure like the FPGA does; 0 means
-        unbounded (the pure-algorithm setting of Fig. 9)."""
+        """``window`` aborts a candidate with a forward edge older than
+        the last ``window`` commits, as the FPGA's window overflow
+        does; 0 means unbounded (the pure-algorithm setting of
+        Fig. 9)."""
         super().__init__(concurrency, read_placement)
         self.window = window
         self._reset()
 
     def _reset(self) -> None:
-        self.closure = ReachabilityClosure()
-        #: per address: [(commit_time, closure_index)], append-only.
+        self.matrix = WindowMatrix()
+        #: per address: [(commit_time, matrix_index)], append-only.
         self._writers: Dict[int, List[Tuple[float, int]]] = {}
-        #: per address: closure indices reading the current version.
+        #: per address: matrix indices reading the current version.
         self._readers: Dict[int, Set[int]] = {}
-        #: per committed view, its closure index (by txn id).
+        #: per committed view, its matrix index (by txn id).
         self._index: Dict[int, int] = {}
-        self._pending: Dict[int, ValidationResult] = {}
+        #: per validated view, its (proceeding, succeeding) vectors.
+        self._pending: Dict[int, Tuple[int, int]] = {}
 
     def run(self, trace, observer=None, bus=None):  # type: ignore[override]
         self._reset()
@@ -75,22 +78,22 @@ class RococoCC(TraceCC):
             for reader in self._readers.get(write.addr, ()):
                 backward |= 1 << reader
 
-        if self.window and len(self.closure) >= self.window:
+        if self.window and len(self.matrix) >= self.window:
             # Bounded mode: edges to evicted prefix cannot be tracked;
             # conservatively abort stale snapshots (window overflow).
-            boundary = len(self.closure) - self.window
+            boundary = len(self.matrix) - self.window
             if forward & ((1 << boundary) - 1):
                 return False
 
-        result = self.closure.validate(forward, backward)
-        if not result.ok:
+        ok, proceeding, succeeding = self.matrix.probe(forward, backward)
+        if not ok:
             return False
-        self._pending[view.txn] = result
+        self._pending[view.txn] = (proceeding, succeeding)
         return True
 
     def on_commit(self, view: TxnView) -> None:
-        result = self._pending.pop(view.txn)
-        index = self.closure.commit(result, label=view.txn)
+        index = len(self.matrix)
+        self.matrix.commit(*self._pending.pop(view.txn))
         self._index[view.txn] = index
 
         for read in view.reads:

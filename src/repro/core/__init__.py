@@ -2,10 +2,11 @@
 
 Layers, bottom-up:
 
-* :class:`BitVec` / :class:`BitMatrix` — the bit-parallel datapath
-  (Python big-ints standing in for the FPGA's wide registers).
-* :class:`ReachabilityClosure` — incremental transitive closure with
-  O(1)-depth cycle detection (Warshall's fact + its dual, Fig. 4).
+* :class:`WindowMatrix` — the reachability matrix with O(1)-depth
+  cycle detection (Warshall's fact + its dual, Fig. 4), Python
+  big-ints standing in for the FPGA's wide registers.  Bounded to W
+  slots it adds shift-out eviction and taint (Fig. 5);
+  ``window=None`` is the unbounded closure.
 * :class:`RococoValidator` — footprint-level OCC validation over an
   unbounded committed set (used by the Fig. 9 experiments).
 * :class:`SlidingWindowValidator` — the bounded W-slot variant the
@@ -15,24 +16,17 @@ Layers, bottom-up:
 """
 
 from .batch import BatchOutcome, BatchRococoValidator
-from .bitmatrix import BitMatrix
-from .bitvec import BitVec
-from .reachability import ReachabilityClosure, ValidationResult
 from .rococo import Decision, Footprint, RococoValidator, tocc_would_abort
 from .window import DEFAULT_WINDOW, SlidingWindowValidator, WindowMatrix
 
 __all__ = [
     "BatchOutcome",
     "BatchRococoValidator",
-    "BitMatrix",
-    "BitVec",
     "DEFAULT_WINDOW",
     "Decision",
     "Footprint",
-    "ReachabilityClosure",
     "RococoValidator",
     "SlidingWindowValidator",
     "WindowMatrix",
-    "ValidationResult",
     "tocc_would_abort",
 ]

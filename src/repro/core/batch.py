@@ -46,9 +46,9 @@ class BatchOutcome:
 class BatchRococoValidator:
     """ROCoCo with a global view over each validation batch.
 
-    Maintains the same unbounded reachability closure as
+    Maintains the same unbounded reachability matrix as
     :class:`RococoValidator`; ``submit_batch`` decides a whole batch at
-    once and folds the chosen subset into the closure in a cycle-free
+    once and folds the chosen subset into the matrix in a cycle-free
     order.
     """
 
@@ -104,8 +104,8 @@ class BatchRococoValidator:
     def _conflicts_with_history(self, fp: Footprint) -> bool:
         """Would *fp* alone close a cycle with the committed prefix?"""
         forward, backward = self._inner.edges(fp)
-        result = self._inner.closure.validate(forward, backward)
-        return not result.ok
+        ok, _, _ = self._inner.matrix.probe(forward, backward)
+        return not ok
 
     def _greedy_selection(self, writers: Sequence[Footprint]) -> Set[int]:
         """Arrival-order selection: what the pipelined validator does."""

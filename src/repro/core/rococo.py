@@ -1,11 +1,11 @@
 """The ROCoCo validator over transaction footprints.
 
 This module layers the dependency-edge extraction of an OCC validation
-phase on top of :class:`ReachabilityClosure`.  A candidate transaction
-arrives with its read set, write set and *snapshot index* — the number
-of committed transactions whose updates it observed (the CPU side's
-``ValidTS``; eager detection guarantees reads form a consistent
-snapshot at that point).  Edges to each committed transaction ``t_i``
+phase on top of an unbounded :class:`~repro.core.window.WindowMatrix`.
+A candidate transaction arrives with its read set, write set and
+*snapshot index* — the number of committed transactions whose updates
+it observed (the CPU side's ``ValidTS``; eager detection guarantees
+reads form a consistent snapshot at that point).  Edges to each committed transaction ``t_i``
 follow section 3.1's rules:
 
 * ``t_i`` committed **within** the snapshot and wrote something ``t``
@@ -26,49 +26,10 @@ validation — the CPU-side fast path of section 5.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Hashable, List, Tuple
 
-from .reachability import ReachabilityClosure
-
-Address = Hashable
-
-
-@dataclass(frozen=True)
-class Footprint:
-    """The memory footprint a transaction submits for validation."""
-
-    read_set: FrozenSet[Address]
-    write_set: FrozenSet[Address]
-    #: committed transactions with commit index < snapshot observed.
-    snapshot: int
-    label: Hashable = None
-
-    @staticmethod
-    def of(
-        reads: Iterable[Address],
-        writes: Iterable[Address],
-        snapshot: int,
-        label: Hashable = None,
-    ) -> "Footprint":
-        return Footprint(frozenset(reads), frozenset(writes), snapshot, label)
-
-    @property
-    def is_read_only(self) -> bool:
-        return not self.write_set
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Validator verdict for one transaction."""
-
-    committed: bool
-    #: why an abort happened: None, "cycle", or "window-overflow".
-    reason: Optional[str] = None
-    #: index in commit order when committed (read-only txns get -1).
-    commit_index: int = -1
-    forward: int = 0
-    backward: int = 0
+from .footprint import Address, Decision, Footprint
+from .window import WindowMatrix
 
 
 class RococoValidator:
@@ -80,7 +41,8 @@ class RococoValidator:
     """
 
     def __init__(self) -> None:
-        self.closure = ReachabilityClosure()
+        self.matrix = WindowMatrix()
+        self._labels: List[Hashable] = []
         self._reads: List[FrozenSet[Address]] = []
         self._writes: List[FrozenSet[Address]] = []
         self.stats_commits = 0
@@ -109,18 +71,20 @@ class RococoValidator:
         return forward, backward
 
     def submit(self, fp: Footprint) -> Decision:
-        """Validate *fp*; commit it into the closure when acyclic."""
+        """Validate *fp*; commit it into the matrix when acyclic."""
         if fp.is_read_only:
             self.stats_read_only += 1
             return Decision(committed=True)
 
         forward, backward = self.edges(fp)
-        result = self.closure.validate(forward, backward)
-        if not result.ok:
+        ok, proceeding, succeeding = self.matrix.probe(forward, backward)
+        if not ok:
             self.stats_aborts += 1
             return Decision(False, "cycle", forward=forward, backward=backward)
 
-        index = self.closure.commit(result, label=fp.label)
+        index = len(self._reads)
+        self.matrix.commit(proceeding, succeeding)
+        self._labels.append(index if fp.label is None else fp.label)
         self._reads.append(fp.read_set)
         self._writes.append(fp.write_set)
         self.stats_commits += 1
@@ -131,17 +95,16 @@ class RococoValidator:
 
         Unlike TOCC, commit order is *not* the serial order here; the
         witness is any topological order of the committed DAG, which we
-        reconstruct from the closure (a DAG's closure is itself
+        reconstruct from the matrix's rows (a DAG's closure is itself
         acyclic off the diagonal).
         """
-        n = len(self.closure)
-        labels = self.closure.labels
+        rows = self.matrix.rows
         # Sort by the number of transactions each one reaches,
         # descending: in a closure of a DAG, u reaches a strict
         # superset of what its successors reach, so this is a valid
         # topological order (ties are unrelated transactions).
-        order = sorted(range(n), key=lambda i: -bin(self.closure.rows[i]).count("1"))
-        return [labels[i] for i in order]
+        order = sorted(range(len(rows)), key=lambda i: -bin(rows[i]).count("1"))
+        return [self._labels[i] for i in order]
 
 
 def tocc_would_abort(fp: Footprint, validator: RococoValidator) -> bool:

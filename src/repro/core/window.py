@@ -1,8 +1,33 @@
-"""The sliding-window ROCoCo validator (section 4.2, Fig. 5).
+"""The ROCoCo reachability matrix (section 4, Figs. 4 and 5).
+
+ROCoCo validates acyclicity of the R/W-dependency relation without
+timestamps by maintaining the *reachability matrix* R of the committed
+transaction DAG and extending it one transaction at a time (section
+4.1):
+
+* **Warshall's fact** (forward): ``t`` reaches ``t_i`` iff
+  ``t -> t_i`` directly, or ``t -> t_j`` and ``t_j`` reaches ``t_i``.
+  Vectorized: ``p = f | R^T f`` (the *proceeding* vector).
+* **Dual fact** (backward): ``t`` is reachable from ``t_i`` iff
+  ``t_i -> t`` directly, or ``t_i`` reaches some ``t_j`` with
+  ``t_j -> t``.  Vectorized: ``s = b | R b`` (the *succeeding* vector).
+* **Cycle test**: committing ``t`` would close a cycle iff some
+  committed ``t_i`` both precedes and succeeds ``t``:
+  ``p & s != 0`` — an O(1)-depth wide AND/OR in hardware.
+* **Closure update** on commit: ``p`` and ``s`` become the new row and
+  column, and every old entry picks up the new paths *through* t:
+  ``r[i][j] |= s[i] & p[j]`` (an outer product, one cycle in the 2D
+  registers).
+
+Note on the paper's notation: the inline formulas in section 4.1 index
+``r[i][j]`` with the opposite convention from their own matrix forms
+``p = f + R^T f`` / ``s = b + R b``; we follow the matrix forms, which
+are the self-consistent ones (and the ones Fig. 4 depicts).
 
 Hardware cannot hold an unbounded reachability matrix, so the FPGA
 keeps bookkeeping for only the W most recent committed (writing)
-transactions.  Two consequences, both modelled here:
+transactions (section 4.2, Fig. 5).  Two consequences, both modelled
+here:
 
 * **Window overflow** — when ``t_{k+1}`` commits, the bookkeeping for
   ``t_{k-W}`` is discarded; any transaction that *neglects the updates*
@@ -24,35 +49,43 @@ The window variant therefore commits a subset of what the unbounded
 validator of :mod:`repro.core.rococo` commits on the same stream — a
 property the test-suite checks.
 
-:class:`WindowMatrix` is the bare matrix datapath (what the FPGA's 2D
-registers + taint register implement); :class:`SlidingWindowValidator`
-layers exact-footprint edge extraction on top for algorithm-level use.
-The hardware model in :mod:`repro.hw` layers *signature-based* edge
-extraction on the same matrix instead.
+:class:`WindowMatrix` is the bare matrix datapath.  Bounded to W slots
+it is what the FPGA's 2D registers + taint register implement; with
+``window=None`` it never evicts and is the unbounded closure that the
+algorithmic experiments (Fig. 9) validate against.
+:class:`SlidingWindowValidator` layers exact-footprint edge extraction
+on top for algorithm-level use.  The hardware model in :mod:`repro.hw`
+layers *signature-based* edge extraction on the same matrix instead.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, List, Tuple
+from typing import FrozenSet, Hashable, List, Optional, Tuple
 
-from .rococo import Address, Decision, Footprint
+from .footprint import Address, Decision, Footprint
 
 DEFAULT_WINDOW = 64
 
 
 class WindowMatrix:
-    """W-slot reachability matrix with shift-out eviction and taint.
+    """Reachability matrix with shift-out eviction and taint.
 
     Slots are numbered oldest-first; ``rows[i]`` bit ``j`` means slot
-    *i* reaches slot *j*.  The taint mask marks slots that reach
-    settled (evicted) history.
+    *i* reaches slot *j*.  The diagonal is 1 — "a vertex can always
+    reach itself" (section 4.1) — which also makes the cycle test catch
+    direct 2-cycles through the diagonal-free f/b vectors uniformly.
+    The taint mask marks slots that reach settled (evicted) history.
+    ``window=None`` keeps every slot: slot *i* is then the *i*-th
+    commit and the taint stays 0.
     """
 
-    def __init__(self, window: int):
-        if window < 1:
+    def __init__(self, window: Optional[int] = None):
+        if window is not None and window < 1:
             raise ValueError("window must hold at least one transaction")
-        self.window = window
+        #: ``commit`` evicts once more than this many slots are resident.
+        self._capacity = sys.maxsize if window is None else window
         self._rows: List[int] = []
         #: exact transpose of ``_rows`` (``cols[j]`` bit *i* means slot
         #: *i* reaches slot *j*), maintained so the backward
@@ -68,6 +101,11 @@ class WindowMatrix:
     def taint(self) -> int:
         return self._taint
 
+    @property
+    def rows(self) -> List[int]:
+        """The rows, oldest slot first (read-only by convention)."""
+        return self._rows
+
     def reaches(self, i: int, j: int) -> bool:
         return bool(self._rows[i] >> j & 1)
 
@@ -75,8 +113,11 @@ class WindowMatrix:
     def probe(self, forward: int, backward: int) -> Tuple[bool, int, int]:
         """(ok, proceeding, succeeding) for candidate edge vectors.
 
-        ``ok`` is False when a cycle closes (``p & s``) or when the
-        candidate reaches tainted (settled) history.
+        ``forward`` has bit *i* set iff the candidate has an edge *to*
+        slot *i* (``t ->_rw t_i``, e.g. t anti-depends on a read of
+        t_i); ``backward`` has bit *i* set iff slot *i* has an edge to
+        the candidate.  ``ok`` is False when a cycle closes (``p & s``)
+        or when the candidate reaches tainted (settled) history.
         """
         proceeding = forward | self._mv_transposed(forward)
         succeeding = backward | self._mv(backward)
@@ -86,9 +127,11 @@ class WindowMatrix:
     def commit(self, proceeding: int, succeeding: int) -> bool:
         """Insert a validated candidate as the newest slot.
 
-        Returns True if an eviction happened (the window was full).
-        Rows are updated by iterating only the *set* bits of the
-        succeeding vector (usually sparse under low contention).
+        Callers commit only the (p, s) of a passing probe; a cyclic
+        pair is not refused here.  Returns True if an eviction happened
+        (the window was full).  Rows are updated by iterating only the
+        *set* bits of the succeeding vector (usually sparse under low
+        contention).
         """
         k = len(self._rows)
         new_row = proceeding | (1 << k)
@@ -105,7 +148,7 @@ class WindowMatrix:
             low = bits & -bits
             self._cols[low.bit_length() - 1] |= incoming
             bits ^= low
-        if len(self._rows) > self.window:
+        if len(self._rows) > self._capacity:
             self._evict_oldest()
             return True
         return False

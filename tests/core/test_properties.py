@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Footprint,
-    ReachabilityClosure,
     RococoValidator,
     SlidingWindowValidator,
+    WindowMatrix,
     tocc_would_abort,
 )
 
@@ -27,41 +27,41 @@ class TestClosureProperties:
     @given(edge_streams)
     @settings(max_examples=60, deadline=None)
     def test_matches_networkx_everywhere(self, stream):
-        closure = ReachabilityClosure()
+        matrix = WindowMatrix(window=None)
         graph = nx.DiGraph()
         for raw_fwd, raw_bwd in stream:
-            k = len(closure)
+            k = len(matrix)
             mask = (1 << k) - 1
             fwd, bwd = raw_fwd & mask, raw_bwd & mask
-            result = closure.validate(fwd, bwd)
+            ok, p, s = matrix.probe(fwd, bwd)
 
             trial = graph.copy()
             trial.add_node(k)
             trial.add_edges_from((k, i) for i in range(k) if fwd >> i & 1)
             trial.add_edges_from((i, k) for i in range(k) if bwd >> i & 1)
-            assert result.ok == nx.is_directed_acyclic_graph(trial)
-            if result.ok:
-                closure.commit(result)
+            assert ok == nx.is_directed_acyclic_graph(trial)
+            if ok:
+                matrix.commit(p, s)
                 graph = trial
 
         truth = nx.transitive_closure(graph, reflexive=True)
-        for i in range(len(closure)):
-            for j in range(len(closure)):
-                assert closure.reaches(i, j) == truth.has_edge(i, j)
+        for i in range(len(matrix)):
+            for j in range(len(matrix)):
+                assert matrix.reaches(i, j) == truth.has_edge(i, j)
 
     @given(edge_streams)
     @settings(max_examples=40, deadline=None)
     def test_committed_set_stays_acyclic(self, stream):
-        closure = ReachabilityClosure()
+        matrix = WindowMatrix(window=None)
         for raw_fwd, raw_bwd in stream:
-            mask = (1 << len(closure)) - 1
-            result = closure.validate(raw_fwd & mask, raw_bwd & mask)
-            if result.ok:
-                closure.commit(result)
+            mask = (1 << len(matrix)) - 1
+            ok, p, s = matrix.probe(raw_fwd & mask, raw_bwd & mask)
+            if ok:
+                matrix.commit(p, s)
         # Off-diagonal reachability must be asymmetric in a DAG closure.
-        for i in range(len(closure)):
-            for j in range(i + 1, len(closure)):
-                assert not (closure.reaches(i, j) and closure.reaches(j, i))
+        for i in range(len(matrix)):
+            for j in range(i + 1, len(matrix)):
+                assert not (matrix.reaches(i, j) and matrix.reaches(j, i))
 
 
 # ----------------------------------------------------------------------

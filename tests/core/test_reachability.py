@@ -1,45 +1,40 @@
-"""The incremental transitive closure against ground truth (networkx)."""
+"""The unbounded reachability matrix against ground truth (networkx)."""
 
 import networkx as nx
 import pytest
 
-from repro.core import ReachabilityClosure
+from repro.core import WindowMatrix
+
+
+def mask(indices):
+    return sum(1 << i for i in indices)
 
 
 def build(edges_per_txn):
     """Commit a sequence of txns; edges_per_txn[i] = (forward, backward)
-    as label lists against previously-committed txns."""
-    closure = ReachabilityClosure()
+    as index lists against previously-committed txns."""
+    matrix = WindowMatrix(window=None)
     for label, (fwd, bwd) in enumerate(edges_per_txn):
-        result = closure.validate_edges(fwd, bwd)
-        assert result.ok, f"unexpected cycle at txn {label}"
-        closure.commit(result, label=label)
-    return closure
+        ok, p, s = matrix.probe(mask(fwd), mask(bwd))
+        assert ok, f"unexpected cycle at txn {label}"
+        matrix.commit(p, s)
+    return matrix
 
 
 class TestBasics:
     def test_first_commit_reaches_itself(self):
-        c = ReachabilityClosure()
-        r = c.validate(0, 0)
-        assert r.ok
-        c.commit(r, label="t1")
-        assert c.reaches(0, 0)
-        assert c.labels == ["t1"]
-
-    def test_commit_of_cycle_rejected(self):
-        c = ReachabilityClosure()
-        c.commit(c.validate(0, 0))
-        bad = c.validate(1, 1)  # both forward and backward to txn 0
-        assert not bad.ok
-        with pytest.raises(ValueError):
-            c.commit(bad)
+        m = WindowMatrix(window=None)
+        ok, p, s = m.probe(0, 0)
+        assert ok
+        m.commit(p, s)
+        assert m.reaches(0, 0)
+        assert len(m) == 1
 
     def test_direct_two_cycle_detected(self):
-        c = ReachabilityClosure()
-        c.commit(c.validate(0, 0), label="a")
-        result = c.validate_edges(["a"], ["a"])
-        assert not result.ok
-        assert result.cycle_mask != 0
+        m = build([((), ())])
+        ok, p, s = m.probe(0b1, 0b1)  # both forward and backward to txn 0
+        assert not ok
+        assert p & s != 0
 
     def test_chain_reachability(self):
         # a <- b <- c (each new txn succeeds the previous one).
@@ -59,13 +54,24 @@ class TestBasics:
         # t0; t1 before t0 (forward); candidate after t0 and before t1:
         # t0 -> t, t -> t1, t1 -> t0 closes the cycle.
         c = build([((), ()), ((0,), ())])
-        result = c.validate_edges(forward_labels=[1], backward_labels=[0])
-        assert not result.ok
+        ok, _, _ = c.probe(forward=mask([1]), backward=mask([0]))
+        assert not ok
 
     def test_indirect_paths_recorded_on_commit(self):
         # t0; t1 after t0; t2 before t0 => t2 reaches t1 via t0.
         c = build([((), ()), ((), (0,)), ((0,), ())])
         assert c.reaches(2, 1)
+
+    def test_unbounded_never_evicts(self):
+        # A chain far longer than the FPGA's 64 slots keeps every slot.
+        m = WindowMatrix(window=None)
+        for k in range(100):
+            ok, p, s = m.probe(0, 1 << (k - 1) if k else 0)
+            assert ok
+            assert not m.commit(p, s)
+        assert len(m) == 100
+        assert m.reaches(0, 99)
+        assert m.taint == 0
 
 
 class TestAgainstNetworkx:
@@ -73,16 +79,14 @@ class TestAgainstNetworkx:
         import random
 
         rng = random.Random(seed)
-        closure = ReachabilityClosure()
+        matrix = WindowMatrix(window=None)
         graph = nx.DiGraph()
         committed = 0
         for label in range(30):
             k = committed
             fwd = [i for i in range(k) if rng.random() < 0.15]
             bwd = [i for i in range(k) if rng.random() < 0.15 and i not in fwd]
-            f_mask = sum(1 << i for i in fwd)
-            b_mask = sum(1 << i for i in bwd)
-            result = closure.validate(f_mask, b_mask)
+            ok, p, s = matrix.probe(mask(fwd), mask(bwd))
 
             # Ground truth: would adding these edges create a cycle?
             trial = graph.copy()
@@ -90,10 +94,10 @@ class TestAgainstNetworkx:
             trial.add_edges_from((committed, i) for i in fwd)
             trial.add_edges_from((i, committed) for i in bwd)
             truth_ok = nx.is_directed_acyclic_graph(trial)
-            assert result.ok == truth_ok, (seed, label, fwd, bwd)
+            assert ok == truth_ok, (seed, label, fwd, bwd)
 
-            if result.ok:
-                closure.commit(result)
+            if ok:
+                assert not matrix.commit(p, s)
                 graph = trial
                 committed += 1
 
@@ -101,15 +105,9 @@ class TestAgainstNetworkx:
         tc = nx.transitive_closure(graph, reflexive=True)
         for i in range(committed):
             for j in range(committed):
-                assert closure.reaches(i, j) == tc.has_edge(i, j), (seed, i, j)
+                assert matrix.reaches(i, j) == tc.has_edge(i, j), (seed, i, j)
+        assert matrix.taint == 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_networkx_closure(self, seed):
         self._random_dag_trial(seed)
-
-
-class TestReachableSet:
-    def test_reachable_set_by_label(self):
-        c = build([((), ()), ((), (0,))])
-        assert c.reachable_set(0) == {0, 1}
-        assert c.reachable_set(1) == {1}

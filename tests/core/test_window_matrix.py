@@ -1,6 +1,9 @@
 """Direct tests of the WindowMatrix datapath (eviction + taint)."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.window import WindowMatrix
 
@@ -78,3 +81,55 @@ class TestProbeCommit:
         assert m.taint == 0b1
         m.commit(0, 0b10)           # D follows C; B (the tainted slot)
         assert m.taint == 0         # ... evicted: taint drains with it
+
+
+class TestAgainstNetworkx:
+    """The bounded matrix against ground truth over the *full* graph.
+
+    Every candidate's edges are drawn over the resident slots; the
+    graph keeps every committed vertex, evicted ones included.
+    """
+
+    @given(
+        st.integers(1, 6),
+        st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bounded_window_matches_full_graph(self, window, stream):
+        m = WindowMatrix(window)
+        graph = nx.DiGraph()
+        resident = []  # slot -> vertex, oldest first
+        evicted = set()
+        for vertex, (raw_fwd, raw_bwd) in enumerate(stream):
+            slots = (1 << len(resident)) - 1
+            fwd, bwd = raw_fwd & slots, raw_bwd & slots
+            ok, p, s = m.probe(fwd, bwd)
+
+            trial = graph.copy()
+            trial.add_node(vertex)
+            trial.add_edges_from(
+                (vertex, v) for i, v in enumerate(resident) if fwd >> i & 1
+            )
+            trial.add_edges_from(
+                (v, vertex) for i, v in enumerate(resident) if bwd >> i & 1
+            )
+            acyclic = nx.is_directed_acyclic_graph(trial)
+            settled = acyclic and bool(nx.descendants(trial, vertex) & evicted)
+            assert ok == (acyclic and not settled), (window, stream, vertex)
+            if not ok:
+                continue
+
+            assert m.commit(p, s) == (len(resident) == window)
+            graph = trial
+            resident.append(vertex)
+            if len(resident) > window:
+                evicted.add(resident.pop(0))
+
+            assert len(m) == len(resident)
+            reach = {v: nx.descendants(graph, v) | {v} for v in resident}
+            for i, u in enumerate(resident):
+                for j, v in enumerate(resident):
+                    assert m.reaches(i, j) == (v in reach[u]), (window, stream, i, j)
+                assert bool(m.taint >> i & 1) == bool(reach[u] & evicted), (
+                    window, stream, i,
+                )
