@@ -8,25 +8,23 @@ Layers, bottom-up:
   slots it adds shift-out eviction and taint (Fig. 5);
   ``window=None`` is the unbounded closure.
 * :class:`RococoValidator` — footprint-level OCC validation over an
-  unbounded committed set (used by the Fig. 9 experiments).
-* :class:`SlidingWindowValidator` — the bounded W-slot variant the
-  FPGA implements (Fig. 5), with window-overflow aborts.
+  unbounded committed set (used by the Fig. 9 experiments).  The
+  bounded W-slot variant the FPGA implements (Fig. 5) is
+  :class:`repro.hw.ValidationManager`, over bloom or exact edges.
 * :class:`BatchRococoValidator` — the §7 future-work extension: a
   non-greedy validator with a global view over each batch.
 """
 
 from .batch import BatchOutcome, BatchRococoValidator
 from .rococo import Decision, Footprint, RococoValidator, tocc_would_abort
-from .window import DEFAULT_WINDOW, SlidingWindowValidator, WindowMatrix
+from .window import WindowMatrix
 
 __all__ = [
     "BatchOutcome",
     "BatchRococoValidator",
-    "DEFAULT_WINDOW",
     "Decision",
     "Footprint",
     "RococoValidator",
-    "SlidingWindowValidator",
     "WindowMatrix",
     "tocc_would_abort",
 ]

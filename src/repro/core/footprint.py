@@ -38,7 +38,8 @@ class Decision:
     """Validator verdict for one transaction."""
 
     committed: bool
-    #: why an abort happened: None, "cycle", or "window-overflow".
+    #: why an abort happened: None, "cycle", "window-overflow", or
+    #: (a refused certify) "stale".
     reason: Optional[str] = None
     #: index in commit order when committed (read-only txns get -1).
     commit_index: int = -1

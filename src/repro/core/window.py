@@ -52,21 +52,16 @@ property the test-suite checks.
 :class:`WindowMatrix` is the bare matrix datapath.  Bounded to W slots
 it is what the FPGA's 2D registers + taint register implement; with
 ``window=None`` it never evicts and is the unbounded closure that the
-algorithmic experiments (Fig. 9) validate against.
-:class:`SlidingWindowValidator` layers exact-footprint edge extraction
-on top for algorithm-level use.  The hardware model in :mod:`repro.hw`
-layers *signature-based* edge extraction on the same matrix instead.
+algorithmic experiments (Fig. 9) validate against.  The bounded
+decision path is :class:`repro.hw.manager.ValidationManager`, which
+takes its edges from bloom signatures (:class:`repro.hw.ConflictDetector`)
+or from exact sets (:class:`repro.hw.ExactDetector`).
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import FrozenSet, Hashable, List, Optional, Tuple
-
-from .footprint import Address, Decision, Footprint
-
-DEFAULT_WINDOW = 64
+from typing import List, Optional, Tuple
 
 
 class WindowMatrix:
@@ -186,108 +181,3 @@ class WindowMatrix:
             vec >>= 1
             i += 1
         return out
-
-
-@dataclass
-class _Slot:
-    """Bookkeeping for one resident committed transaction (an ``h_i``)."""
-
-    label: Hashable
-    read_set: FrozenSet[Address]
-    write_set: FrozenSet[Address]
-    commit_index: int
-
-
-class SlidingWindowValidator:
-    """ROCoCo over the W most recent committed writing transactions."""
-
-    def __init__(self, window: int = DEFAULT_WINDOW):
-        self.matrix = WindowMatrix(window)
-        self.window = window
-        self._slots: List[_Slot] = []  # oldest first
-        self.total_commits = 0  # writing commits ever accepted
-        self.stats_commits = 0
-        self.stats_read_only = 0
-        self.stats_cycle_aborts = 0
-        self.stats_overflow_aborts = 0
-        self.stats_taint_aborts = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def resident(self) -> int:
-        return len(self._slots)
-
-    @property
-    def oldest_commit_index(self) -> int:
-        """Commit index of the oldest resident transaction.
-
-        Snapshots older than this "neglect updates" of an evicted
-        transaction and must abort.
-        """
-        return self._slots[0].commit_index if self._slots else 0
-
-    def labels(self) -> List[Hashable]:
-        return [s.label for s in self._slots]
-
-    # ------------------------------------------------------------------
-    def submit(self, fp: Footprint) -> Decision:
-        """Validate one transaction.
-
-        ``fp.snapshot`` counts *writing commits* observed, in this
-        validator's commit order.
-        """
-        if fp.is_read_only:
-            self.stats_read_only += 1
-            return Decision(committed=True)
-
-        if fp.snapshot < self.oldest_commit_index:
-            self.stats_overflow_aborts += 1
-            return Decision(False, "window-overflow")
-
-        forward, backward = self._edges(fp)
-        ok, proceeding, succeeding = self.matrix.probe(forward, backward)
-        if not ok:
-            if proceeding & succeeding:
-                self.stats_cycle_aborts += 1
-            else:
-                self.stats_taint_aborts += 1
-            return Decision(False, "cycle", forward=forward, backward=backward)
-
-        self.matrix.commit(proceeding, succeeding)
-        self._slots.append(
-            _Slot(fp.label, fp.read_set, fp.write_set, self.total_commits)
-        )
-        if len(self._slots) > self.window:
-            del self._slots[0]
-        self.total_commits += 1
-        self.stats_commits += 1
-        return Decision(
-            True,
-            commit_index=self.total_commits - 1,
-            forward=forward,
-            backward=backward,
-        )
-
-    # ------------------------------------------------------------------
-    def _edges(self, fp: Footprint) -> Tuple[int, int]:
-        forward = 0
-        backward = 0
-        for i, slot in enumerate(self._slots):
-            bit = 1 << i
-            if fp.read_set & slot.write_set:
-                if slot.commit_index < fp.snapshot:
-                    backward |= bit
-                else:
-                    forward |= bit
-            if fp.write_set & slot.write_set or fp.write_set & slot.read_set:
-                backward |= bit
-        return forward, backward
-
-    # ------------------------------------------------------------------
-    def reaches(self, i: int, j: int) -> bool:
-        """Does resident slot *i* reach resident slot *j*?"""
-        return self.matrix.reaches(i, j)
-
-    @property
-    def stats_aborts(self) -> int:
-        return self.stats_cycle_aborts + self.stats_overflow_aborts + self.stats_taint_aborts

@@ -37,8 +37,9 @@ import random
 from collections import Counter
 from typing import Dict, Hashable, Optional
 
+from ..core.footprint import Decision
 from ..hw.engine import FpgaValidationEngine, ValidationResponse
-from ..hw.manager import ValidationRequest, Verdict
+from ..hw.manager import ValidationRequest
 from .link import FaultyLink, LinkDown
 from .plan import FaultPlan
 
@@ -92,7 +93,7 @@ class ChaosValidationEngine:
         )
         #: decided verdicts by label — the modeled response buffer that
         #: makes resubmission idempotent (exactly-once validation).
-        self._decided: Dict[Hashable, Verdict] = {}
+        self._decided: Dict[Hashable, Decision] = {}
         self._resets_fired = 0
 
     # ------------------------------------------------------------------
@@ -100,7 +101,7 @@ class ChaosValidationEngine:
     def link_retries(self) -> int:
         return self.faulty_link.retries
 
-    def recall(self, label: Hashable) -> Optional[Verdict]:
+    def recall(self, label: Hashable) -> Optional[Decision]:
         """The decided verdict for *label*, if the engine has one."""
         return self._decided.get(label)
 

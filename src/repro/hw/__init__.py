@@ -9,13 +9,16 @@ CCI latencies from §6.2 footnote 8).
 * :class:`ClockDomain`, :class:`InterconnectLink`, :class:`LatencyQueue`
   — timing substrate.
 * :class:`ConflictDetector` — W-way parallel signature compare.
-* :class:`ValidationManager` — overflow/cycle decision + matrix update.
+* :class:`ExactDetector` — the same surface over exact read/write
+  sets: the reference edge source.
+* :class:`ValidationManager` — overflow/cycle decision + matrix update
+  over either detector.
 * :class:`FpgaValidationEngine` — the pipelined whole, with queueing.
 * :func:`estimate` — the §6.5 resource/Fmax model.
 """
 
 from .clock import DEFAULT_FREQUENCY_HZ, ClockDomain
-from .detector import Bookkeeping, ConflictDetector
+from .detector import Bookkeeping, ConflictDetector, ExactDetector
 from .engine import MANAGER_CYCLES, FpgaValidationEngine, ValidationResponse
 from .link import (
     ADDRESSES_PER_CACHELINE,
@@ -24,7 +27,7 @@ from .link import (
     harp2_cci_link,
     pcie_link,
 )
-from .manager import ValidationManager, ValidationRequest, Verdict
+from .manager import ValidationManager, ValidationRequest
 from .queues import LatencyQueue
 from .software_engine import SoftwareValidationEngine
 from .resources import (
@@ -48,6 +51,7 @@ __all__ = [
     "DEVICE_BRAM_BITS",
     "DEVICE_DSPS",
     "DEVICE_REGISTERS",
+    "ExactDetector",
     "FpgaValidationEngine",
     "InterconnectLink",
     "LatencyQueue",
@@ -57,7 +61,6 @@ __all__ = [
     "ValidationManager",
     "ValidationRequest",
     "ValidationResponse",
-    "Verdict",
     "estimate",
     "harp2_cci_link",
     "paper_table",

@@ -44,13 +44,17 @@ signatures when the request carries them (the CPU built both during
 execution — Algorithm 1), falling back to hashing the address sets
 through the mask cache otherwise.  Either way the recorded raws are
 bit-identical, so verdicts cannot depend on which path ran.
+
+:class:`ExactDetector` has the same surface over exact read and write
+sets.  The manager takes either one, so the exact-set reference is the
+same decision path with the other edge source.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..signatures import SignatureConfig
 
@@ -81,35 +85,16 @@ class Bookkeeping:
     write_raw: int
 
 
-class ConflictDetector:
-    """Parallel signature store with W-way conflict detection."""
+class _Window:
+    """The resident ``h_i`` entries of an edge source, oldest first
+    (logical slot order), at most W of them."""
 
-    def __init__(self, config: SignatureConfig, window: int):
+    def __init__(self, window: int):
         if window < 1:
             raise ValueError("window must hold at least one entry")
-        self.config = config
         self.window = window
-        #: the bit-sliced store: bit ``s`` of ``_cols[p]`` is bit ``p``
-        #: of physical slot ``s``'s write-set signature, bit
-        #: ``W + s`` bit ``p`` of its read-set signature.
-        self._cols: List[int] = [0] * config.bits
-        #: resident entries, oldest first (logical slot order).
-        self._entries: Deque[Bookkeeping] = deque()
-        #: physical slot of logical slot 0.  Stays 0 until the first
-        #: eviction (the window fills in place), then advances mod W.
-        self._head = 0
-        #: sticky: have the recorded commit indices been consecutive?
-        #: The manager numbers commits 0, 1, 2, ... so the resident
-        #: indices are always a contiguous run and the snapshot-
-        #: observed set is a logical-order *prefix* — deriving
-        #: forward/backward from the hit masks with integer ops alone.
-        #: Any out-of-sequence record (only reachable through direct
-        #: detector use) clears the flag and a per-entry loop takes
-        #: over; both paths are bit-identical.
-        self._consecutive = True
-        self._full_mask = (1 << window) - 1
+        self._entries: Deque = deque()
 
-    # ------------------------------------------------------------------
     @property
     def resident(self) -> int:
         return len(self._entries)
@@ -118,8 +103,46 @@ class ConflictDetector:
     def oldest_commit_index(self) -> int:
         return self._entries[0].commit_index if self._entries else 0
 
-    def entries(self) -> List[Bookkeeping]:
+    def entries(self) -> list:
         return list(self._entries)
+
+    def _append(self, entry):
+        """Make *entry* the newest slot; return the evicted oldest
+        entry when the window was full, else None.
+
+        Raises ValueError on a gapped commit index.  The manager
+        numbers commits 0, 1, 2, ... and a reset starts a fresh
+        detector, so the resident indices are one consecutive run and
+        the snapshot-observed slots a logical-order prefix.
+        """
+        entries = self._entries
+        if entries and entry.commit_index != entries[-1].commit_index + 1:
+            raise ValueError(
+                f"commit index {entry.commit_index} does not follow "
+                f"{entries[-1].commit_index}"
+            )
+        entries.append(entry)
+        return entries.popleft() if len(entries) > self.window else None
+
+
+class ConflictDetector(_Window):
+    """Parallel signature store with W-way conflict detection."""
+
+    def __init__(self, config: SignatureConfig, window: int):
+        super().__init__(window)
+        self.config = config
+        #: the bit-sliced store: bit ``s`` of ``_cols[p]`` is bit ``p``
+        #: of physical slot ``s``'s write-set signature, bit
+        #: ``W + s`` bit ``p`` of its read-set signature.
+        self._cols: List[int] = [0] * config.bits
+        #: physical slot of logical slot 0.  Stays 0 until the first
+        #: eviction (the window fills in place), then advances mod W.
+        self._head = 0
+        self._full_mask = (1 << window) - 1
+
+    def empty(self) -> "ConflictDetector":
+        """A fresh detector of the same geometry (an engine reset)."""
+        return ConflictDetector(self.config, self.window)
 
     # ------------------------------------------------------------------
     def _rotate(self, mask: int) -> int:
@@ -192,15 +215,9 @@ class ConflictDetector:
 
     def _observed_mask(self, snapshot: int) -> int:
         """Logical-order bitmask of resident slots with
-        ``commit_index < snapshot``."""
+        ``commit_index < snapshot``: a prefix, since resident commit
+        indices are consecutive (:meth:`_Window._append`)."""
         entries = self._entries
-        if not self._consecutive:
-            mask = 0
-            for slot, entry in enumerate(entries):
-                if entry.commit_index < snapshot:
-                    mask |= 1 << slot
-            return mask
-        # Consecutive indices: the observed slots are a prefix.
         t = min(snapshot - entries[0].commit_index, len(entries))
         return (1 << t) - 1 if t > 0 else 0
 
@@ -220,30 +237,96 @@ class ConflictDetector:
         signatures when the CPU shipped them; omitted, the address
         sets are folded through the mask cache (bit-identical result).
         Returns True when an eviction happened (the caller's matrix
-        must shift in lock-step).
+        must shift in lock-step).  Raises ValueError when
+        *commit_index* does not follow the newest resident's.
         """
         config = self.config
         if read_raw is None:
             read_raw = config.raw_of(tuple(read_addrs))
         if write_raw is None:
             write_raw = config.raw_of(tuple(write_addrs))
-        entries = self._entries
-        if entries and commit_index != entries[-1].commit_index + 1:
-            self._consecutive = False
-        entries.append(Bookkeeping(label, commit_index, read_raw, write_raw))
-
-        evicted = len(entries) > self.window
-        if evicted:
+        old = self._append(Bookkeeping(label, commit_index, read_raw, write_raw))
+        if old is not None:
             # The new entry takes the evicted one's physical slot: only
             # the columns where the two signatures differ change.
-            old = entries.popleft()
             slot = self._head
             self._head = (slot + 1) % self.window
             read_raw ^= old.read_raw
             write_raw ^= old.write_raw
         else:
-            slot = len(entries) - 1
+            slot = len(self._entries) - 1
         nbytes = (config.bits + 7) // 8
         _flip(self._cols, write_raw, nbytes, 1 << slot)
         _flip(self._cols, read_raw, nbytes, 1 << (self.window + slot))
-        return evicted
+        return old is not None
+
+
+@dataclass(frozen=True)
+class ExactBookkeeping:
+    """One ``h_i`` entry of :class:`ExactDetector`: the exact sets."""
+
+    label: Hashable
+    commit_index: int
+    read_set: FrozenSet[int]
+    write_set: FrozenSet[int]
+
+
+class ExactDetector(_Window):
+    """The reference edge source: exact read and write sets where
+    :class:`ConflictDetector` holds signatures.
+
+    Same surface, same slot numbering, no false positives.  A
+    :class:`~repro.hw.manager.ValidationManager` built on it is ROCoCo
+    over exact sets in a W-slot window: the oracle the bloom path is
+    checked against, which differs from it only by the aborts that
+    signature false positives add.
+    """
+
+    def empty(self) -> "ExactDetector":
+        """A fresh detector of the same window (an engine reset)."""
+        return ExactDetector(self.window)
+
+    def edges(
+        self,
+        read_addrs: Sequence[int],
+        write_addrs: Sequence[int],
+        snapshot: int,
+    ) -> Tuple[int, int]:
+        """(forward, backward) slot bitmasks, by the rules of
+        :meth:`ConflictDetector.edges` over exact intersections."""
+        reads = frozenset(read_addrs)
+        writes = frozenset(write_addrs)
+        forward = 0
+        backward = 0
+        for slot, entry in enumerate(self._entries):
+            bit = 1 << slot
+            if not reads.isdisjoint(entry.write_set):
+                if entry.commit_index < snapshot:
+                    backward |= bit
+                else:
+                    forward |= bit
+            if not (
+                writes.isdisjoint(entry.write_set) and writes.isdisjoint(entry.read_set)
+            ):
+                backward |= bit
+        return forward, backward
+
+    def record_commit(
+        self,
+        label: Hashable,
+        commit_index: int,
+        read_addrs: Iterable[int],
+        write_addrs: Iterable[int],
+        read_raw: Optional[int] = None,
+        write_raw: Optional[int] = None,
+    ) -> bool:
+        """Append bookkeeping; evicts the oldest entry when full.
+
+        The signatures a request may carry (*read_raw*, *write_raw*)
+        are not used.  Returns True when an eviction happened; raises
+        ValueError on a gapped *commit_index*.
+        """
+        entry = ExactBookkeeping(
+            label, commit_index, frozenset(read_addrs), frozenset(write_addrs)
+        )
+        return self._append(entry) is not None

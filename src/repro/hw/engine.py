@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
+from ..core.footprint import Decision
 from ..signatures import SignatureConfig
 from .clock import ClockDomain
+from .detector import ConflictDetector
 from .link import ADDRESSES_PER_CACHELINE, InterconnectLink, harp2_cci_link
-from .manager import ValidationManager, ValidationRequest, Verdict
+from .manager import ValidationManager, ValidationRequest
 
 MANAGER_CYCLES = 2  # cycle test + matrix/bookkeeping update
 
@@ -39,7 +41,7 @@ MANAGER_CYCLES = 2  # cycle test + matrix/bookkeeping update
 class ValidationResponse:
     """A verdict plus its complete timing breakdown (all ns)."""
 
-    verdict: Verdict
+    verdict: Decision
     sent_ns: float
     arrived_ns: float
     started_ns: float
@@ -65,7 +67,9 @@ class FpgaValidationEngine:
         clock: Optional[ClockDomain] = None,
         link: Optional[InterconnectLink] = None,
     ):
-        self.manager = ValidationManager(config, window)
+        self.manager = ValidationManager(
+            ConflictDetector(config or SignatureConfig(), window)
+        )
         self.clock = clock or ClockDomain()
         self.link = link or harp2_cci_link()
         #: the owning backend's emission surface, wired by
@@ -104,14 +108,12 @@ class FpgaValidationEngine:
         traffic queues behind it exactly as Fig. 5 would."""
         return self._through_pipeline(request, now_ns, self.manager.certify)
 
-    def _through_pipeline(
-        self,
-        request: ValidationRequest,
-        now_ns: float,
-        decide: Callable[[ValidationRequest], Verdict],
-    ) -> ValidationResponse:
-        """Time *request* through link, queue, detector and manager,
-        taking the verdict from *decide*."""
+    def _service(
+        self, request: ValidationRequest, now_ns: float
+    ) -> Tuple[float, float, float]:
+        """(arrived, started, finished) of *request* sent at *now_ns*:
+        the link crossing, queueing behind the pipeline, detector
+        occupancy and manager cycles.  Reserves the pipeline."""
         lines = self.link.lines_for_addresses(max(1, request.n_addresses))
         arrived = now_ns + self.link.request_ns(lines)
         started = max(self.clock.align_up(arrived), self._pipeline_free_ns)
@@ -119,10 +121,21 @@ class FpgaValidationEngine:
         occupancy = self.occupancy_cycles(request)
         self._pipeline_free_ns = started + self.clock.cycles_to_ns(occupancy)
         finished = started + self.clock.cycles_to_ns(occupancy + MANAGER_CYCLES)
+        self.stats_busy_cycles += occupancy + MANAGER_CYCLES
+        return arrived, started, finished
+
+    def _through_pipeline(
+        self,
+        request: ValidationRequest,
+        now_ns: float,
+        decide: Callable[[ValidationRequest], Decision],
+    ) -> ValidationResponse:
+        """Time *request* through :meth:`_service` and the return
+        link, taking the verdict from *decide*."""
+        arrived, started, finished = self._service(request, now_ns)
         ready = finished + self.link.response_ns()
 
         verdict = decide(request)
-        self.stats_busy_cycles += occupancy + MANAGER_CYCLES
         self.stats_requests += 1
         self.total_round_trip_ns += ready - now_ns
         self.total_queueing_ns += started - arrived
@@ -144,7 +157,7 @@ class FpgaValidationEngine:
         bit-sliced detector looks up each request address once in it
         for the k column indices its AND chain reads, so no address is
         re-hashed after first touch."""
-        config = self.manager.config
+        config = self.manager.detector.config
         return {
             "hits": config.mask_cache_hits,
             "misses": config.mask_cache_misses,

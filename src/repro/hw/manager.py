@@ -3,11 +3,12 @@
 The manager owns the W x W reachability matrix (2D registers) and the
 decision logic: window-overflow check, the O(1) cycle test over the
 detector's forward/backward vectors, and the single-cycle matrix
-update + bookkeeping shift on commit.  It composes
-:class:`ConflictDetector` (signatures) with
+update + bookkeeping shift on commit.  It composes an edge source with
 :class:`repro.core.window.WindowMatrix` (reachability), keeping the
 two shift registers in lock-step exactly as the commit broadcast in
-Fig. 5 does.
+Fig. 5 does.  The edge source is a :class:`ConflictDetector`
+(signatures, the hardware) or an :class:`ExactDetector` (exact sets,
+the reference): one decision path, two interchangeable detectors.
 
 The manager sits *below* the Driver boundary (see
 :mod:`repro.runtime.driver`): it is purely functional over its own
@@ -19,11 +20,11 @@ time — timing and emission live in the engine above it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional, Tuple, Union
 
+from ..core.footprint import Decision
 from ..core.window import WindowMatrix
-from ..signatures import SignatureConfig
-from .detector import ConflictDetector
+from .detector import ConflictDetector, ExactDetector
 
 
 @dataclass(frozen=True)
@@ -51,23 +52,14 @@ class ValidationRequest:
         return len(self.read_addrs) + len(self.write_addrs)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    committed: bool
-    reason: Optional[str] = None
-    commit_index: int = -1
-    forward: int = 0
-    backward: int = 0
-
-
 class ValidationManager:
     """Decision logic over detector + matrix (order = arrival order)."""
 
-    def __init__(self, config: Optional[SignatureConfig] = None, window: int = 64):
-        self.config = config or SignatureConfig()
-        self.window = window
-        self.detector = ConflictDetector(self.config, window)
-        self.matrix = WindowMatrix(window)
+    def __init__(self, detector: Union[ConflictDetector, ExactDetector]):
+        #: the edge source; :meth:`reset` replaces it with an empty one
+        #: of the same kind.
+        self.detector = detector
+        self.matrix = WindowMatrix(detector.window)
         self.total_commits = 0
         #: commit index below which history has been *wiped* (engine
         #: reset): snapshots older than this must abort like any other
@@ -90,17 +82,17 @@ class ValidationManager:
             + self.stats_taint_aborts
         )
 
-    def validate(self, request: ValidationRequest) -> Verdict:
+    def validate(self, request: ValidationRequest) -> Decision:
         """Decide one transaction; commits update matrix + bookkeeping."""
         if not request.write_addrs:
             # Read-only transactions never reach the FPGA in ROCoCoTM
             # (§5.3), but accept them gracefully if they do.
-            return Verdict(committed=True)
+            return Decision(committed=True)
 
         horizon = max(self.reset_floor, self.detector.oldest_commit_index)
         if request.snapshot < horizon:
             self.stats_overflow_aborts += 1
-            return Verdict(False, "window-overflow")
+            return Decision(False, "window-overflow")
 
         forward, backward = self.detector.edges(
             request.read_addrs, request.write_addrs, request.snapshot
@@ -111,7 +103,7 @@ class ValidationManager:
                 self.stats_cycle_aborts += 1
             else:
                 self.stats_taint_aborts += 1
-            return Verdict(False, "cycle", forward=forward, backward=backward)
+            return Decision(False, "cycle", forward=forward, backward=backward)
 
         self.matrix.commit(proceeding, succeeding)
         self.detector.record_commit(
@@ -124,7 +116,7 @@ class ValidationManager:
         )
         self.total_commits += 1
         self.stats_commits += 1
-        return Verdict(
+        return Decision(
             True,
             commit_index=self.total_commits - 1,
             forward=forward,
@@ -132,7 +124,7 @@ class ValidationManager:
         )
 
     # ------------------------------------------------------------------
-    def certify(self, request: ValidationRequest) -> Verdict:
+    def certify(self, request: ValidationRequest) -> Decision:
         """Freshness check for cross-shard two-phase validation.
 
         Unlike :meth:`validate`, this *never mutates* the window: no
@@ -151,14 +143,14 @@ class ValidationManager:
         horizon = max(self.reset_floor, self.detector.oldest_commit_index)
         if request.snapshot < horizon:
             self.stats_certify_refusals += 1
-            return Verdict(False, "window-overflow")
+            return Decision(False, "window-overflow")
         forward, backward = self.detector.edges(
             request.read_addrs, request.write_addrs, request.snapshot
         )
         if forward:
             self.stats_certify_refusals += 1
-            return Verdict(False, "stale", forward=forward, backward=backward)
-        return Verdict(True, forward=forward, backward=backward)
+            return Decision(False, "stale", forward=forward, backward=backward)
+        return Decision(True, forward=forward, backward=backward)
 
     # ------------------------------------------------------------------
     def record_external_commit(
@@ -208,6 +200,6 @@ class ValidationManager:
         of §4.2, applied to the whole history at once.
         """
         self.reset_floor = self.total_commits
-        self.detector = ConflictDetector(self.config, self.window)
-        self.matrix = WindowMatrix(self.window)
+        self.detector = self.detector.empty()
+        self.matrix = WindowMatrix(self.detector.window)
         self.stats_resets += 1

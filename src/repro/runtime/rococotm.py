@@ -132,7 +132,7 @@ class RococoTMBackend(TMBackend):
             # Adopt the injected engine's configuration: the CPU-side
             # signatures ride to the engine as raw bits (ValidationRequest
             # read_raw/write_raw), so both sides must hash identically.
-            self.config = engine.manager.config
+            self.config = engine.manager.detector.config
         else:
             self.config = SignatureConfig()
         self.engine = engine or FpgaValidationEngine(window=window, config=self.config)
@@ -147,8 +147,8 @@ class RococoTMBackend(TMBackend):
         software = None
         if policy.software_failover:
             software = SoftwareValidationEngine(
-                window=self.engine.manager.window,
-                config=self.engine.manager.config,
+                window=self.engine.manager.detector.window,
+                config=self.engine.manager.detector.config,
             )
             # Decision-identical failover (§5.1): the software engine
             # drives the *same* ValidationManager, so the signature

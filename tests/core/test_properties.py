@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from repro.core import (
     Footprint,
     RococoValidator,
-    SlidingWindowValidator,
     WindowMatrix,
     tocc_would_abort,
 )
+from repro.hw import ExactDetector, ValidationManager, ValidationRequest
 
 # ----------------------------------------------------------------------
 # Edge streams: each item is (forward_bits, backward_bits) drawn against
@@ -88,6 +88,10 @@ def _drive(validator, stream, committed_counter):
     return decisions
 
 
+def _request(fp):
+    return ValidationRequest(fp.label, tuple(fp.read_set), tuple(fp.write_set), fp.snapshot)
+
+
 class TestValidatorProperties:
     @given(footprints)
     @settings(max_examples=60, deadline=None)
@@ -129,13 +133,13 @@ class TestValidatorProperties:
     @given(footprints, st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
     def test_window_commits_subset_of_labels_stay_acyclic(self, stream, window):
-        validator = SlidingWindowValidator(window=window)
+        validator = ValidationManager(ExactDetector(window))
         committed = []
         graph = nx.DiGraph()
         for i, (reads, writes, lag) in enumerate(stream):
             snapshot = max(0, validator.total_commits - lag)
             fp = Footprint.of(reads, writes, snapshot, label=i)
-            decision = validator.submit(fp)
+            decision = validator.validate(_request(fp))
             if not (decision.committed and fp.write_set):
                 continue
             me = len(committed)
@@ -164,10 +168,10 @@ class TestValidatorProperties:
     @settings(max_examples=40, deadline=None)
     def test_big_window_equals_unbounded(self, stream):
         unbounded = RococoValidator()
-        windowed = SlidingWindowValidator(window=1024)
+        windowed = ValidationManager(ExactDetector(1024))
         for i, (reads, writes, lag) in enumerate(stream):
             snapshot = max(0, unbounded.committed_count - lag)
             fp = Footprint.of(reads, writes, snapshot, label=i)
             a = unbounded.submit(fp).committed
-            b = windowed.submit(fp).committed
+            b = windowed.validate(_request(fp)).committed
             assert a == b

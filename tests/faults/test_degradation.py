@@ -13,7 +13,8 @@ from repro.faults import (
     ValidationUnavailable,
     build_chaos_backend,
 )
-from repro.hw import FpgaValidationEngine, ValidationRequest, ValidationResponse, Verdict
+from repro.core import Decision
+from repro.hw import FpgaValidationEngine, ValidationRequest, ValidationResponse
 from repro.runtime import RococoTMBackend
 from repro.runtime.stats import RunStats
 from repro.stamp import KmeansWorkload, run_stamp
@@ -25,7 +26,7 @@ def request(label=1):
 
 def response(verdict=None, at=100.0):
     return ValidationResponse(
-        verdict=verdict or Verdict(committed=True),
+        verdict=verdict or Decision(committed=True),
         sent_ns=at,
         arrived_ns=at,
         started_ns=at,
@@ -121,7 +122,7 @@ class TestFailover:
     def test_failover_honours_the_response_buffer(self):
         # The primary decided the verdict before its response was lost:
         # failover must replay it, not re-validate.
-        recorded = Verdict(committed=False, reason="cycle")
+        recorded = Decision(committed=False, reason="cycle")
         primary = ScriptedEngine(["timeout"] * 5, buffer={1: recorded})
         software = ScriptedEngine(["ok"])
         ladder = DegradationManager(primary, software, self.policy())

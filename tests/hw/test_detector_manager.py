@@ -2,15 +2,14 @@
 
 The key cross-check: on conflict patterns without hash collisions, the
 hardware path must make the *same decisions* as the exact-set
-SlidingWindowValidator of repro.core.
+manager built on an ExactDetector.
 """
 
 import random
 
 import pytest
 
-from repro.core import Footprint, SlidingWindowValidator
-from repro.hw import ConflictDetector, ValidationManager, ValidationRequest
+from repro.hw import ConflictDetector, ExactDetector, ValidationManager, ValidationRequest
 from repro.signatures import SignatureConfig
 
 
@@ -70,20 +69,20 @@ class TestDetector:
 
 class TestManager:
     def test_read_only_commits_without_bookkeeping(self, config):
-        mgr = ValidationManager(config, window=8)
+        mgr = ValidationManager(ConflictDetector(config, 8))
         verdict = mgr.validate(req(reads=[1, 2]))
         assert verdict.committed
         assert mgr.total_commits == 0
 
     def test_tocc_restriction_removed(self, config):
-        mgr = ValidationManager(config, window=8)
+        mgr = ValidationManager(ConflictDetector(config, 8))
         assert mgr.validate(req(writes=[10], snapshot=0, label="t0")).committed
         # Stale read of t0's update, no cycle: commits under ROCoCo.
         verdict = mgr.validate(req(reads=[10], writes=[20], snapshot=0, label="t1"))
         assert verdict.committed
 
     def test_two_cycle_aborts(self, config):
-        mgr = ValidationManager(config, window=8)
+        mgr = ValidationManager(ConflictDetector(config, 8))
         mgr.validate(req(reads=[5], writes=[10], snapshot=0))
         verdict = mgr.validate(req(reads=[10], writes=[5], snapshot=0))
         assert not verdict.committed
@@ -91,7 +90,7 @@ class TestManager:
         assert mgr.stats_cycle_aborts == 1
 
     def test_window_overflow_abort(self, config):
-        mgr = ValidationManager(config, window=2)
+        mgr = ValidationManager(ConflictDetector(config, 2))
         for i in range(5):
             assert mgr.validate(req(writes=[100 + i], snapshot=i)).committed
         verdict = mgr.validate(req(reads=[7], writes=[8], snapshot=1))
@@ -103,13 +102,13 @@ class TestManager:
         """With few, well-separated addresses the signatures are exact,
         so hardware decisions == exact-set decisions."""
         rng = random.Random(seed)
-        mgr = ValidationManager(config, window=16)
-        exact = SlidingWindowValidator(window=16)
+        mgr = ValidationManager(ConflictDetector(config, 16))
+        exact = ValidationManager(ExactDetector(16))
         snapshot_lag = 0
         for i in range(200):
             addrs = rng.sample(range(64), 4)
             reads, writes = addrs[:2], addrs[2:]
             snapshot = max(0, mgr.total_commits - rng.randint(0, 4))
             hw = mgr.validate(req(reads, writes, snapshot, label=i))
-            sw = exact.submit(Footprint.of(reads, writes, snapshot, label=i))
+            sw = exact.validate(req(reads, writes, snapshot, label=i))
             assert hw.committed == sw.committed, (seed, i)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import Footprint, SlidingWindowValidator
 from repro.hw import (
+    ExactDetector,
     FpgaValidationEngine,
     InterconnectLink,
+    ValidationManager,
     ValidationRequest,
     harp2_cci_link,
 )
@@ -54,13 +55,13 @@ class TestDecisionConsistency:
 
         rng = random.Random(seed)
         engine = FpgaValidationEngine(window=8)
-        exact = SlidingWindowValidator(window=8)
+        exact = ValidationManager(ExactDetector(8))
         now = 0.0
         for i in range(150):
             addrs = rng.sample(range(48), 4)
             snapshot = max(0, engine.manager.total_commits - rng.randint(0, 4))
             hw = engine.submit(req(addrs[:2], addrs[2:], snapshot, label=i), now)
-            sw = exact.submit(Footprint.of(addrs[:2], addrs[2:], snapshot, label=i))
+            sw = exact.validate(req(addrs[:2], addrs[2:], snapshot, label=i))
             assert hw.verdict.committed == sw.committed, (seed, i)
             now += rng.random() * 100.0
 
@@ -72,12 +73,12 @@ class TestDecisionConsistency:
         rng = random.Random(7)
         tiny = SignatureConfig(bits=32, partitions=2, seed=3)
         engine = FpgaValidationEngine(window=8, config=tiny)
-        exact = SlidingWindowValidator(window=8)
+        exact = ValidationManager(ExactDetector(8))
         fp_aborts = missed = 0
         for i in range(200):
             addrs = rng.sample(range(512), 4)
             snapshot = max(0, exact.total_commits - rng.randint(0, 3))
-            sw = exact.submit(Footprint.of(addrs[:2], addrs[2:], snapshot, label=i))
+            sw = exact.validate(req(addrs[:2], addrs[2:], snapshot, label=i))
             hw = engine.submit(req(addrs[:2], addrs[2:], snapshot, label=i), float(i))
             if sw.committed and not hw.verdict.committed:
                 fp_aborts += 1
@@ -86,7 +87,7 @@ class TestDecisionConsistency:
             if sw.committed != hw.verdict.committed:
                 missed += 1
                 engine = FpgaValidationEngine(window=8, config=tiny)
-                exact = SlidingWindowValidator(window=8)
+                exact = ValidationManager(ExactDetector(8))
         assert fp_aborts >= 0  # presence depends on collisions
         # With 32-bit signatures over 512 addresses, collisions are
         # near-certain across 200 transactions.
@@ -145,6 +146,9 @@ class TestSoftwareEngine:
         first = engine.submit(req(reads=range(8), writes=[99], snapshot=0), 0.0)
         second = engine.submit(req(reads=range(8), writes=[98], snapshot=0), 0.0)
         assert second.started_ns >= first.finished_ns
+        third = engine.certify(req(reads=range(8), writes=[97], snapshot=2), 0.0)
+        assert third.started_ns >= second.finished_ns
+        assert engine.stats_busy_cycles == 0
 
     def test_slower_than_fpga_under_load(self):
         from repro.hw import SoftwareValidationEngine

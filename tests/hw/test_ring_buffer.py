@@ -13,9 +13,8 @@ at every step, across signature geometries, and that the columns stay
 the exact transpose of the resident signatures.
 
 The pre-vectorization boolean packing survives here as the reference
-oracle for the per-slot observed-mask loop that gapped commit indices
-fall back to (both the original per-bit loop and the
-dot-against-powers-of-two formulation it briefly became).
+oracle for the observed-slot prefix mask (both the original per-bit
+loop and the dot-against-powers-of-two formulation it briefly became).
 """
 
 import random
@@ -25,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw import ConflictDetector, ValidationManager
+from repro.hw import ConflictDetector, ExactDetector, ValidationManager
 from repro.signatures import SignatureConfig
 
 
@@ -140,27 +139,24 @@ def test_wraparound_matches_array_shift_reference(window):
         ]
 
 
-@pytest.mark.parametrize("window", [4, 16])
-def test_non_consecutive_commit_indices_fall_back(window):
-    """Gapped commit indices (direct detector use) must disable the
-    prefix fast path and still agree with the reference."""
-    config = SignatureConfig()
-    live = ConflictDetector(config, window)
-    ref = ArrayShiftDetector(config, window)
-    rng = random.Random(99)
-
-    commit_index = 0
-    for step, (reads, writes) in enumerate(_stream(rng, 3 * window)):
-        commit_index += rng.randint(1, 3)  # gaps -> non-consecutive
-        live.record_commit(step, commit_index, reads, writes)
-        ref.record_commit(commit_index, reads, writes)
-
-        probe_reads, probe_writes = _stream(rng, 1)[0]
-        snapshot = rng.randint(0, commit_index + 1)
-        assert live.edges(probe_reads, probe_writes, snapshot) == ref.edges(
-            probe_reads, probe_writes, snapshot
-        ), (window, step)
-    assert not live._consecutive
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ConflictDetector(SignatureConfig(), 4), lambda: ExactDetector(4)],
+    ids=["bloom", "exact"],
+)
+def test_gapped_commit_index_raises(make):
+    """Resident commit indices are one consecutive run (the manager
+    numbers commits densely and a reset starts a fresh detector); a
+    gapped or repeated record is refused and leaves the entries as
+    they were."""
+    detector = make()
+    detector.record_commit("a", 5, [1], [2])
+    for bad in (7, 5, 4):
+        with pytest.raises(ValueError):
+            detector.record_commit("b", bad, [3], [4])
+    assert [e.commit_index for e in detector.entries()] == [5]
+    detector.record_commit("b", 6, [3], [4])
+    assert detector.oldest_commit_index == 5 and detector.resident == 2
 
 
 def test_shipped_signatures_equal_rehash():
@@ -190,7 +186,7 @@ def test_manager_reset_matches_fresh_reference(window):
     """After ``ValidationManager.reset()`` mid-stream the detector
     answers like a reference that only saw the post-reset commits."""
     config = SignatureConfig()
-    manager = ValidationManager(config, window)
+    manager = ValidationManager(ConflictDetector(config, window))
     rng = random.Random(31 + window)
     ref = ArrayShiftDetector(config, window)
     history = _stream(rng, 4 * window + 6)
@@ -340,22 +336,14 @@ def _bools_to_mask_pow2_dot(bools):
 @pytest.mark.parametrize("size", [1, 7, 63, 64, 65, 128, 200])
 def test_bools_to_mask_matches_oracles(size):
     """The observed-slot mask (``commit_index < snapshot`` per logical
-    slot) equals both packings of the boolean vector, on the gapped
-    per-entry loop and on the consecutive prefix path alike."""
-    rng = random.Random(size)
-    gapped = ConflictDetector(SignatureConfig(), size)
-    consecutive = ConflictDetector(SignatureConfig(), size)
-    commit_index = 0
+    slot) equals both packings of the boolean vector."""
+    det = ConflictDetector(SignatureConfig(), size)
     for step in range(size + size // 2 + 1):
-        commit_index += rng.randint(1, 3)
-        gapped.record_commit(step, commit_index, (), (), read_raw=0, write_raw=0)
-        consecutive.record_commit(step, step, (), (), read_raw=0, write_raw=0)
-    for det in (gapped, consecutive):
-        indices = np.array([e.commit_index for e in det.entries()])
-        for snapshot in {0, int(indices[0]), int(indices[len(indices) // 2]),
-                         int(indices[-1]), int(indices[-1]) + 1}:
-            bools = indices < snapshot
-            expected = _bools_to_mask_bit_loop(bools)
-            assert det._observed_mask(snapshot) == expected
-            assert _bools_to_mask_pow2_dot(bools) == expected
-    assert not gapped._consecutive and consecutive._consecutive
+        det.record_commit(step, step, (), (), read_raw=0, write_raw=0)
+    indices = np.array([e.commit_index for e in det.entries()])
+    for snapshot in {0, int(indices[0]), int(indices[len(indices) // 2]),
+                     int(indices[-1]), int(indices[-1]) + 1}:
+        bools = indices < snapshot
+        expected = _bools_to_mask_bit_loop(bools)
+        assert det._observed_mask(snapshot) == expected
+        assert _bools_to_mask_pow2_dot(bools) == expected
