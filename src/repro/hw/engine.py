@@ -58,7 +58,12 @@ class ValidationResponse:
 
 
 class FpgaValidationEngine:
-    """Transaction-level model of the pipelined ROCoCo validator."""
+    """Transaction-level model of the pipelined ROCoCo validator.
+
+    ``manager``: drive this :class:`ValidationManager` instead of
+    building one from *window* and *config* (which it then ignores) —
+    how a failover engine shares the primary's decision state.
+    """
 
     def __init__(
         self,
@@ -66,10 +71,13 @@ class FpgaValidationEngine:
         config: Optional[SignatureConfig] = None,
         clock: Optional[ClockDomain] = None,
         link: Optional[InterconnectLink] = None,
+        manager: Optional[ValidationManager] = None,
     ):
-        self.manager = ValidationManager(
-            ConflictDetector(config or SignatureConfig(), window)
-        )
+        if manager is None:
+            manager = ValidationManager(
+                ConflictDetector(config or SignatureConfig(), window)
+            )
+        self.manager = manager
         self.clock = clock or ClockDomain()
         self.link = link or harp2_cci_link()
         #: the owning backend's emission surface, wired by

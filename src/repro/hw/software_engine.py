@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 from ..signatures import SignatureConfig
 from .engine import FpgaValidationEngine
 from .link import InterconnectLink
-from .manager import ValidationRequest
+from .manager import ValidationManager, ValidationRequest
 
 #: shared-memory queue handoff to/from the validator thread (ns).
 QUEUE_HANDOFF_NS = 90.0
@@ -53,8 +53,11 @@ class SoftwareValidationEngine(FpgaValidationEngine):
         self,
         window: int = 64,
         config: Optional[SignatureConfig] = None,
+        manager: Optional[ValidationManager] = None,
     ):
-        super().__init__(window=window, config=config, link=_software_link())
+        super().__init__(
+            window=window, config=config, link=_software_link(), manager=manager
+        )
 
     def _service(
         self, request: ValidationRequest, now_ns: float

@@ -14,9 +14,13 @@ sanitizer's event log are all ordinary subscribers.
 Design constraints:
 
 * **Zero-cost when unobserved.**  The hot path guards every emission
-  with :meth:`EventBus.wants`; constructing a :class:`SimEvent` for a
-  read nobody listens to would slow every benchmark.  Only ``commit``
-  and ``abort`` always have a listener (the stats collector).
+  with one gate, the live set :attr:`EventBus.wanted` of kinds that
+  would reach a subscriber; constructing a :class:`SimEvent` for a
+  read nobody listens to would slow every benchmark.  ``subscribe``
+  and ``unsubscribe`` update that set in place, so a loop that holds
+  it sees a handler subscribed mid-run at the very next emission, and
+  :meth:`EventBus.wants` is ``kind in wanted``.  Only ``commit`` and
+  ``abort`` always have a listener (the stats collector).
 * **Deterministic delivery.**  Subscribers run synchronously, in
   subscription order, at the simulated instant the transition
   happened.  The simulator is single-threaded discrete-event, so the
@@ -35,7 +39,7 @@ Design constraints:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.analysis import registry as _registry
 
@@ -96,16 +100,22 @@ class EventBus:
     """Synchronous, ordered fan-out of :class:`SimEvent`.
 
     ``in_backend`` is the bus's one piece of mutable state besides the
-    subscriber lists: the simulator raises it around every backend
-    hook invocation so that :meth:`Memory.subscribe` observers can
-    tell a backend write-back from direct (workload phase) stores —
-    the discrimination the sanitizer previously re-implemented with a
-    private flag inside its wrapper.
+    subscriber lists and the ``wanted`` gate derived from them: the
+    simulator raises it around every backend hook invocation so that
+    :meth:`Memory.subscribe` observers can tell a backend write-back
+    from direct (workload phase) stores — the discrimination the
+    sanitizer previously re-implemented with a private flag inside its
+    wrapper.
     """
 
     def __init__(self) -> None:
         self._all: List[Callable[[SimEvent], None]] = []
         self._by_kind: Dict[str, List[Callable[[SimEvent], None]]] = {}
+        #: the one emission gate: every kind with at least one
+        #: subscriber (all of EVENT_KINDS while a catch-all handler is
+        #: registered).  Updated in place, never rebound, so the step
+        #: loop can hold it across a run.
+        self.wanted: Set[str] = set()
         #: True while the simulator is inside a backend hook.
         self.in_backend = False
 
@@ -121,19 +131,22 @@ class EventBus:
         """
         if kinds is None:
             self._all.append(fn)
+            self.wanted.update(EVENT_KINDS)
             return
         for kind in kinds:
             if kind not in EVENT_KINDS:
                 raise ValueError(f"unknown event kind {kind!r}")
             self._by_kind.setdefault(kind, []).append(fn)
+            self.wanted.add(kind)
 
     def unsubscribe(self, fn: Callable[[SimEvent], None]) -> None:
         """Remove every registration of *fn* (catch-all and per-kind).
 
-        Kind lists that become empty are deleted so :meth:`wants`
-        returns to its pre-subscription answer — a detached tracer
-        must leave zero residue on the emission fast path.  Raises
-        ``ValueError`` if *fn* was never subscribed.
+        Kind lists that become empty are deleted and :attr:`wanted`
+        is recomputed in place, so it returns to its pre-subscription
+        answer — a detached tracer must leave zero residue on the
+        emission fast path.  Raises ``ValueError`` if *fn* was never
+        subscribed.
         """
         removed = False
         while fn in self._all:
@@ -148,11 +161,15 @@ class EventBus:
                 del self._by_kind[kind]
         if not removed:
             raise ValueError("handler was not subscribed")
+        wanted = self.wanted
+        wanted.clear()
+        wanted.update(EVENT_KINDS if self._all else self._by_kind)
 
     def wants(self, kind: str) -> bool:
         """True if emitting *kind* would reach at least one subscriber
-        — the hot path's guard against building dead events."""
-        return bool(self._all) or kind in self._by_kind
+        — ``kind in wanted``, the hot path's guard against building
+        dead events."""
+        return kind in self.wanted
 
     def emit(self, event: SimEvent) -> None:
         if __debug__:

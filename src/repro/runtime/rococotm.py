@@ -146,14 +146,10 @@ class RococoTMBackend(TMBackend):
             self.engine.timeout_ns = policy.timeout_ns
         software = None
         if policy.software_failover:
-            software = SoftwareValidationEngine(
-                window=self.engine.manager.detector.window,
-                config=self.engine.manager.detector.config,
-            )
             # Decision-identical failover (§5.1): the software engine
             # drives the *same* ValidationManager, so the signature
             # window and reachability matrix carry over seamlessly.
-            software.manager = self.engine.manager
+            software = SoftwareValidationEngine(manager=self.engine.manager)
         self.degradation = DegradationManager(self.engine, software, policy)
         self.global_ts = 0
         #: write signatures of committed writers, indexed by GlobalTS.

@@ -33,6 +33,19 @@ therefore schedule-preserving by construction; the committed golden
 digests and stamps (``tests/golden/golden.json``) pin the schedules it
 produced on the day the linear scan was retired.
 
+The common step is fused: :meth:`SchedulerKernel.advance` is
+``reschedule`` followed by ``pick`` as one ``heapq.heappushpop``.
+``heappushpop`` orders by the same ``(clock, tid, version)`` tuples, so
+what it returns is the minimum of the heap *plus* the pushed entry —
+exactly what a push then a pop would surface.  When the just-stepped
+thread is still the unique minimum its entry comes straight back
+without touching the heap (run-ahead needs no special case); otherwise
+``advance`` pops past stale entries as ``pick`` does.  The counters
+stay logical: ``advance`` counts one push, one pick and the
+``heap_high_water`` the push would have reached (``len(heap) + 1``), so
+:meth:`snapshot` is identical to the unfused sequence.  ``reschedule``
+stays as the oracle the property test holds ``advance`` to.
+
 The kernel also keeps the deadlock check O(1): ``n_live`` and
 ``n_parked`` counters replace the old per-wakeup sweep over all
 threads (``any(t.parked ...)``).
@@ -46,7 +59,7 @@ kernel cannot move a single benchmark byte.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import List
 
 
@@ -58,7 +71,8 @@ class SchedulerKernel:
     * :meth:`add` once per thread before the run;
     * :meth:`pick` to obtain the next thread to step (``-1``: none
       runnable);
-    * :meth:`reschedule` after a step that leaves the thread runnable;
+    * :meth:`advance` after a step that leaves the thread runnable (a
+      fused :meth:`reschedule` plus :meth:`pick`);
     * :meth:`park` / :meth:`wake` around blocking operations;
     * :meth:`retire` when a thread's program completes.
     """
@@ -132,6 +146,28 @@ class SchedulerKernel:
         """Re-enter *tid* (just stepped, still live) at its new clock."""
         self._runnable[tid] = True
         self._push(tid, clock)
+
+    def advance(self, tid: int, clock: float) -> int:
+        """:meth:`reschedule` *tid* at *clock*, then :meth:`pick` — in
+        one ``heappushpop``.  Returns the next thread to step, with
+        every counter as the unfused pair leaves it.  Never ``-1``:
+        *tid*'s own fresh entry is valid, so the stale-pop loop ends at
+        it at the latest."""
+        version = self._version
+        entry_version = version[tid] + 1
+        version[tid] = entry_version
+        heap = self._heap
+        self.pushes += 1
+        if len(heap) >= self.heap_high_water:
+            self.heap_high_water = len(heap) + 1
+        self.picks += 1
+        _, picked, entry_version = heappushpop(heap, (clock, tid, entry_version))
+        while entry_version != version[picked]:
+            self.stale_pops += 1
+            _, picked, entry_version = heappop(heap)
+        self._runnable[tid] = True
+        self._runnable[picked] = False
+        return picked
 
     def park(self, tid: int) -> None:
         """Mark *tid* blocked: it leaves the runnable set until

@@ -18,9 +18,11 @@ The *pick the next thread* decision lives in
 :class:`repro.runtime.sched.SchedulerKernel` — an indexed min-heap
 keyed by ``(clock, tid)`` with lazy invalidation, O(log T) per step
 where the original inner loop rebuilt the runnable list and scanned
-all T threads per event.  The tie-break key makes every run a pure
-function of its programs and seed; tests/golden/golden.json pins the
-resulting stamps byte for byte.
+all T threads per event.  A step that leaves its thread runnable hands
+it back through ``SchedulerKernel.advance`` — the reschedule and the
+next pick as one heap operation.  The tie-break key makes every run a
+pure function of its programs and seed; tests/golden/golden.json pins
+the resulting stamps byte for byte.
 
 Backends program against the narrow :class:`repro.runtime.driver.
 Driver` protocol — ``step_cost`` / ``park`` / ``wake_at`` / ``emit``
@@ -29,9 +31,10 @@ this module touches ``_Thread`` or the kernel.
 
 Every state transition the driver makes — step, begin, read, write,
 commit, abort, park/wake, backoff — is published on ``self.bus``
-(:class:`repro.runtime.events.EventBus`).  Statistics accumulation,
-history recording and the sanitizer's event log are all bus
-subscribers; nothing else observes the driver.
+(:class:`repro.runtime.events.EventBus`), gated by a membership test on
+the bus's live ``wanted`` set.  Statistics accumulation, history
+recording and the sanitizer's event log are all bus subscribers;
+nothing else observes the driver.
 """
 
 from __future__ import annotations
@@ -139,6 +142,14 @@ class Simulator:
             self.cost_model.compute_scale(backend.local_threads(tid))
             for tid in range(n_threads)
         ]
+        #: transaction-op dispatch: one dict lookup on the op's exact
+        #: type replaces an isinstance chain per operation.
+        self._txn_ops = {
+            Read: self._op_read,
+            Write: self._op_write,
+            Work: self._op_work,
+            Alloc: self._op_alloc,
+        }
 
     # ------------------------------------------------------------------
     # The Driver protocol (repro.runtime.driver): the only surface
@@ -162,7 +173,7 @@ class Simulator:
         thread.park_cause = None
         coalesced = at_ns <= thread.clock
         thread.clock = max(thread.clock, at_ns)
-        if self.bus.wants("wake"):
+        if "wake" in self.bus.wanted:
             self.bus.emit(SimEvent("wake", tid, thread.clock))
         self._kernel.wake(tid, thread.clock, coalesced)
 
@@ -170,8 +181,8 @@ class Simulator:
         return self.bus.wants(kind)
 
     def emit(self, event: SimEvent) -> None:
-        """wants()-gated publish — the backend-facing emission path."""
-        if self.bus.wants(event.kind):
+        """``wanted``-gated publish — the backend-facing emission path."""
+        if event.kind in self.bus.wanted:
             self.bus.emit(event)
 
     # ------------------------------------------------------------------
@@ -205,7 +216,7 @@ class Simulator:
         self._run_kernel()
         self.stats.makespan_ns = max(t.clock for t in self._threads)
         self._hook(self.backend.run_finished)
-        if self.bus.wants("sched"):
+        if "sched" in self.bus.wanted:
             self.bus.emit(
                 SimEvent(
                     "sched", -1, self.stats.makespan_ns, data=self._kernel.snapshot()
@@ -214,39 +225,51 @@ class Simulator:
         return self.stats
 
     def _run_kernel(self) -> None:
-        """The O(log T)-per-step inner loop over the heap kernel."""
+        """The O(log T)-per-step inner loop over the heap kernel.
+
+        A step that leaves its thread runnable hands it back through
+        ``kernel.advance`` — reschedule and pick in one heap operation;
+        only a retire or a park needs a separate ``pick``.  The ``step``
+        gate is a membership test on the bus's live ``wanted`` set, so
+        a handler subscribed mid-run is seen at the next step.
+        """
         threads = self._threads
         kernel = SchedulerKernel(len(threads))
         self._kernel = kernel
         for thread in threads:
             kernel.add(thread.tid, thread.clock)
         bus = self.bus
-        wants = bus.wants
+        wanted = bus.wanted
         emit = bus.emit
         pick = kernel.pick
-        reschedule = kernel.reschedule
+        advance = kernel.advance
         retire = kernel.retire
-        step = self._step
+        step_program = self._step_program
+        step_transaction = self._step_transaction
         max_steps = self.max_steps
         steps = 0
-        while True:
-            tid = pick()
-            if tid < 0:
-                if kernel.n_live:
-                    raise RuntimeError(self._deadlock_message())
-                break
+        tid = pick()
+        while tid >= 0:
             if steps >= max_steps:
                 raise RuntimeError(self._livelock_message(steps))
             thread = threads[tid]
-            if wants("step"):
+            if "step" in wanted:
                 emit(SimEvent("step", tid, thread.clock))
-            step(thread)
+            if thread.txn is None:
+                step_program(thread)
+            else:
+                step_transaction(thread)
             steps += 1
             if thread.done:
                 retire(tid)
-            elif not thread.parked:
-                reschedule(tid, thread.clock)
-            # parked: kernel.park already ran inside _park().
+                tid = pick()
+            elif thread.parked:
+                # kernel.park already ran inside _park().
+                tid = pick()
+            else:
+                tid = advance(tid, thread.clock)
+        if kernel.n_live:
+            raise RuntimeError(self._deadlock_message())
 
     # ------------------------------------------------------------------
     def _livelock_message(self, steps: int) -> str:
@@ -276,19 +299,13 @@ class Simulator:
     def _park(self, thread: _Thread, reason: str) -> None:
         thread.parked = True
         thread.park_cause = reason
-        if self.bus.wants("park"):
+        if "park" in self.bus.wanted:
             self.bus.emit(
                 SimEvent("park", thread.tid, thread.clock, cause=reason)
             )
         self._kernel.park(thread.tid)
 
     # ------------------------------------------------------------------
-    def _step(self, thread: _Thread) -> None:
-        if thread.txn is None:
-            self._step_program(thread)
-        else:
-            self._step_transaction(thread)
-
     def _step_program(self, thread: _Thread) -> None:
         try:
             op = thread.program.send(thread.program_value)
@@ -336,7 +353,7 @@ class Simulator:
                 thread.clock = self._hook(
                     self.backend.begin, thread.tid, thread.clock
                 )
-                if bus.wants("begin"):
+                if "begin" in bus.wanted:
                     bus.emit(
                         SimEvent(
                             "begin",
@@ -396,48 +413,53 @@ class Simulator:
                 self._handle_abort(thread, aborted)
                 return
         txn.body_value = None
+        handler = self._txn_ops.get(type(op))
+        if handler is None:
+            raise TypeError(f"transaction bodies may not yield {op!r}")
         try:
-            self._apply_txn_op(thread, op)
+            handler(thread, op)
         except ParkThread:
             txn.pending_op = op
             self._park(thread, "operation")
         except TransactionAborted as aborted:
             self._handle_abort(thread, aborted)
 
-    def _apply_txn_op(self, thread: _Thread, op: Any) -> None:
-        txn = thread.txn
+    # Transaction-op handlers (the ``_txn_ops`` table).  Read and write
+    # raise ``bus.in_backend`` inline, as :meth:`_hook` does.
+    def _op_read(self, thread: _Thread, op: Read) -> None:
         bus = self.bus
-        if isinstance(op, Read):
-            value, ready = self._hook(
-                self.backend.read, thread.tid, op.addr, thread.clock
+        bus.in_backend = True
+        try:
+            value, ready = self.backend.read(thread.tid, op.addr, thread.clock)
+        finally:
+            bus.in_backend = False
+        thread.clock = ready
+        thread.txn.body_value = value
+        if "read" in bus.wanted:
+            bus.emit(SimEvent("read", thread.tid, ready, addr=op.addr, value=value))
+
+    def _op_write(self, thread: _Thread, op: Write) -> None:
+        bus = self.bus
+        bus.in_backend = True
+        try:
+            thread.clock = self.backend.write(
+                thread.tid, op.addr, op.value, thread.clock
             )
-            thread.clock = ready
-            txn.body_value = value
-            if bus.wants("read"):
-                bus.emit(
-                    SimEvent("read", thread.tid, ready, addr=op.addr, value=value)
+        finally:
+            bus.in_backend = False
+        if "write" in bus.wanted:
+            bus.emit(
+                SimEvent(
+                    "write", thread.tid, thread.clock, addr=op.addr, value=op.value
                 )
-        elif isinstance(op, Write):
-            thread.clock = self._hook(
-                self.backend.write, thread.tid, op.addr, op.value, thread.clock
             )
-            if bus.wants("write"):
-                bus.emit(
-                    SimEvent(
-                        "write",
-                        thread.tid,
-                        thread.clock,
-                        addr=op.addr,
-                        value=op.value,
-                    )
-                )
-        elif isinstance(op, Work):
-            thread.clock += op.ns * self._work_scale[thread.tid]
-        elif isinstance(op, Alloc):
-            txn.body_value = self.memory.alloc(op.cells)
-            thread.clock += ALLOC_NS
-        else:
-            raise TypeError(f"transaction bodies may not yield {op!r}")
+
+    def _op_work(self, thread: _Thread, op: Work) -> None:
+        thread.clock += op.ns * self._work_scale[thread.tid]
+
+    def _op_alloc(self, thread: _Thread, op: Alloc) -> None:
+        thread.txn.body_value = self.memory.alloc(op.cells)
+        thread.clock += ALLOC_NS
 
     def _try_commit(self, thread: _Thread, result: Any) -> None:
         try:
@@ -478,7 +500,7 @@ class Simulator:
     def _charge_backoff(self, thread: _Thread, attempt: int, cause: str) -> None:
         pause = self._backoff_ns(thread, attempt, cause)
         thread.clock += pause
-        if self.bus.wants("backoff"):
+        if "backoff" in self.bus.wanted:
             self.bus.emit(SimEvent("backoff", thread.tid, thread.clock, ns=pause))
 
     def _backoff_ns(

@@ -78,16 +78,6 @@ footprints = st.lists(
 )
 
 
-def _drive(validator, stream, committed_counter):
-    """Feed footprints; snapshot = commits - lag (floored at 0)."""
-    decisions = []
-    for i, (reads, writes, lag) in enumerate(stream):
-        snapshot = max(0, committed_counter() - lag)
-        fp = Footprint.of(reads, writes, snapshot, label=i)
-        decisions.append((fp, validator.submit(fp)))
-    return decisions
-
-
 def _request(fp):
     return ValidationRequest(fp.label, tuple(fp.read_set), tuple(fp.write_set), fp.snapshot)
 

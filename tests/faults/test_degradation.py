@@ -14,7 +14,13 @@ from repro.faults import (
     build_chaos_backend,
 )
 from repro.core import Decision
-from repro.hw import FpgaValidationEngine, ValidationRequest, ValidationResponse
+from repro.cluster import ClusterTMBackend
+from repro.hw import (
+    ConflictDetector,
+    FpgaValidationEngine,
+    ValidationRequest,
+    ValidationResponse,
+)
 from repro.runtime import RococoTMBackend
 from repro.runtime.stats import RunStats
 from repro.stamp import KmeansWorkload, run_stamp
@@ -226,6 +232,33 @@ class TestBackendIntegration:
         # aligned or the window stops sliding (livelock).
         assert stats.phantom_commits >= 1
         assert backend.global_ts == backend.engine.manager.total_commits
+
+    @pytest.mark.parametrize(
+        "make, shards",
+        [
+            (RococoTMBackend, 1),
+            (lambda: build_chaos_backend("stall", fault_seed=0), 1),
+            (lambda: ClusterTMBackend(shards=2), 2),
+        ],
+        ids=["rococotm", "chaos", "cluster"],
+    )
+    def test_failover_rung_shares_the_primary_manager(self, monkeypatch, make, shards):
+        # The software rung drives the primary's ValidationManager by
+        # construction: one ConflictDetector per backend, none thrown away.
+        built = []
+        init = ConflictDetector.__init__
+
+        def counting_init(detector, *args, **kwargs):
+            built.append(detector)
+            init(detector, *args, **kwargs)
+
+        monkeypatch.setattr(ConflictDetector, "__init__", counting_init)
+        backend = make()
+        nodes = getattr(backend, "shards", [backend])
+        assert len(nodes) == shards
+        for node in nodes:
+            assert node.degradation.software.manager is node.engine.manager
+        assert built == [node.engine.manager.detector for node in nodes]
 
     def test_fault_aborts_back_off_harder(self):
         backend = RococoTMBackend()

@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import (
     EVENT_KINDS,
@@ -157,6 +159,82 @@ class TestUnsubscribe:
         assert detached == baseline
         # Only the always-on outcome events should have been built.
         assert set(baseline) <= {"commit", "abort"}
+
+
+#: one bus operation: a handler (by index), and either a subscription
+#: (a tuple of kinds, or None for catch-all) or an unsubscribe ("off").
+_BUS_OPS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.one_of(
+            st.just("off"),
+            st.none(),
+            st.lists(st.sampled_from(EVENT_KINDS), min_size=1, max_size=3).map(tuple),
+        ),
+    ),
+    max_size=25,
+)
+
+
+class TestWantedSet:
+    """``EventBus.wanted`` is the one emission gate: a live set that
+    ``subscribe`` and ``unsubscribe`` update in place."""
+
+    @given(_BUS_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_wanted_tracks_every_subscription(self, ops):
+        bus = EventBus()
+        wanted = bus.wanted
+        handlers = [lambda e: None, lambda e: None, lambda e: None]
+        live = []  # (handler index, kinds or None), one per registration
+        for index, action in ops:
+            if action == "off":
+                if any(h == index for h, _ in live):
+                    bus.unsubscribe(handlers[index])
+                    live = [(h, k) for h, k in live if h != index]
+                else:
+                    with pytest.raises(ValueError):
+                        bus.unsubscribe(handlers[index])
+            else:
+                bus.subscribe(handlers[index], kinds=action)
+                live.append((index, action))
+            if any(kinds is None for _, kinds in live):
+                expected = set(EVENT_KINDS)
+            else:
+                expected = {kind for _, kinds in live for kind in kinds}
+            assert bus.wanted is wanted  # updated in place, never rebound
+            assert wanted == expected
+            assert wanted == {kind for kind in EVENT_KINDS if bus.wants(kind)}
+
+    def test_handler_subscribed_in_a_backend_hook_sees_the_next_events(self):
+        def run(subscribe_at_read):
+            events = []
+
+            class SubscribingBackend(TinySTMBackend):
+                reads = 0
+
+                def read(self, tid, addr, now_ns):
+                    self.reads += 1
+                    if self.reads == subscribe_at_read:
+                        assert self.driver.bus.in_backend
+                        self.driver.bus.subscribe(events.append, kinds=("read", "step"))
+                    return super().read(tid, addr, now_ns)
+
+            memory = Memory()
+            base = memory.alloc(1)
+            memory.store(base, 0)
+            simulator = Simulator(SubscribingBackend(), 3, memory=memory, seed=2)
+            if subscribe_at_read == 0:
+                simulator.bus.subscribe(events.append, kinds=("read", "step"))
+            simulator.run([_contended_counter(base, 4)] * 3)
+            return events
+
+        reference = run(subscribe_at_read=0)
+        reads = [i for i, e in enumerate(reference) if e.kind == "read"]
+        for k in (1, 5, len(reads)):
+            # The k-th read hook subscribed: its own read event (emitted
+            # after the hook returns) and everything after it arrive.
+            assert run(subscribe_at_read=k) == reference[reads[k - 1]:]
 
 
 class TestStatsCollector:

@@ -15,6 +15,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.registry import EVENT_SCHEMAS
 from repro.runtime import (
@@ -158,6 +160,116 @@ class TestKernelUnit:
         with pytest.raises(ValueError):
             SchedulerKernel(0)
 
+    def test_advance_runs_ahead_without_the_heap(self):
+        kernel = SchedulerKernel(2)
+        kernel.add(0, 0.0)
+        kernel.add(1, 10.0)
+        assert kernel.pick() == 0
+        assert kernel.advance(0, 5.0) == 0  # still the minimum
+        assert kernel.advance(0, 10.0) == 0  # tie: lower tid wins
+        assert kernel.advance(0, 11.0) == 1
+        snap = kernel.snapshot()
+        assert (snap["picks"], snap["pushes"], snap["heap_high_water"]) == (4, 5, 2)
+
+
+# ----------------------------------------------------------------------
+# advance == reschedule + pick
+# ----------------------------------------------------------------------
+#: one simulated step of the current thread: its outcome, how far its
+#: clock moves (small, so ties are common), an optional wake of a
+#: parked thread (by index, -1: none) at an offset from the current
+#: thread's clock, as a lock release or barrier would do mid-step, and
+#: an optional park of a thread still in the heap (by index, -1: none),
+#: which leaves a stale entry behind.
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("advance", "advance", "advance", "park", "retire")),
+        st.integers(0, 3),
+        st.integers(-1, 5),
+        st.integers(-2, 3),
+        st.integers(-3, 5),
+    ),
+    max_size=80,
+)
+
+
+def _drive_kernel(fused, n_threads, start, steps):
+    """Run *steps* against a fresh kernel, using ``advance`` (*fused*)
+    or ``reschedule`` + ``pick`` after a step that stays runnable.
+    Returns the ``(tid, clock)`` visit sequence and the final
+    counters; asserts every pick against a brute-force minimum."""
+    kernel = SchedulerKernel(n_threads)
+    clocks = [float(c) for c in start[:n_threads]]
+    state = ["runnable"] * n_threads
+    for tid in range(n_threads):
+        kernel.add(tid, clocks[tid])
+    parked = []
+    visits = []
+
+    def expect(tid):
+        runnable = [(clocks[t], t) for t in range(n_threads) if state[t] == "runnable"]
+        assert tid == (min(runnable)[1] if runnable else -1)
+        if tid >= 0:
+            state[tid] = "current"
+        return tid
+
+    tid = expect(kernel.pick())
+    for outcome, dt, wake, wake_dt, evict in steps:
+        if tid < 0:
+            if not parked:
+                break
+            # Nothing runnable: wake one from outside (kernel-level only;
+            # the simulator would report a deadlock here).
+            other = parked.pop(0)
+            state[other] = "runnable"
+            kernel.wake(other, clocks[other])
+            tid = expect(kernel.pick())
+            continue
+        visits.append((tid, clocks[tid]))
+        if wake >= 0 and parked:
+            other = parked.pop(wake % len(parked))
+            at = clocks[tid] + wake_dt
+            coalesced = at <= clocks[other]
+            clocks[other] = max(clocks[other], at)
+            state[other] = "runnable"
+            kernel.wake(other, clocks[other], coalesced)
+        waiting = [t for t in range(n_threads) if state[t] == "runnable"]
+        if evict >= 0 and waiting:
+            other = waiting[evict % len(waiting)]
+            state[other] = "parked"
+            parked.append(other)
+            kernel.park(other)
+        clocks[tid] += dt
+        if outcome == "advance":
+            state[tid] = "runnable"
+            if fused:
+                tid = expect(kernel.advance(tid, clocks[tid]))
+            else:
+                kernel.reschedule(tid, clocks[tid])
+                tid = expect(kernel.pick())
+            continue
+        if outcome == "park":
+            state[tid] = "parked"
+            parked.append(tid)
+            kernel.park(tid)
+        else:
+            state[tid] = "retired"
+            kernel.retire(tid)
+        tid = expect(kernel.pick())
+    return visits, kernel.snapshot(), list(kernel._runnable)
+
+
+class TestAdvanceProperty:
+    @given(
+        n_threads=st.integers(1, 5),
+        start=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+        steps=_STEPS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_advance_matches_reschedule_then_pick(self, n_threads, start, steps):
+        fused = _drive_kernel(True, n_threads, start, steps)
+        assert fused == _drive_kernel(False, n_threads, start, steps)
+
 
 # ----------------------------------------------------------------------
 # The scheduler grid pinned by the golden digests
@@ -293,6 +405,27 @@ class TestSchedEvent:
         # heap never grows past T.
         assert data["heap_high_water"] == 3
         assert 0.0 <= data["lazy_invalidation_ratio"] < 1.0
+
+    def test_payload_is_pinned(self):
+        # The fused advance keeps the counters logical: these are the
+        # numbers reschedule + pick produced on this park/wake-heavy run.
+        memory = Memory()
+        counter = memory.alloc(1)
+        sim = Simulator(CoarseLockBackend(), 4, memory=memory, seed=1)
+        events = []
+        sim.bus.subscribe(events.append, kinds=("sched",))
+        sim.run([make_counter_program(counter, increments=12)] * 4)
+        assert [e.data for e in events] == [
+            {
+                "picks": 339,
+                "pushes": 339,
+                "stale_pops": 0,
+                "lazy_invalidation_ratio": 0.0,
+                "wakes": 47,
+                "wakes_coalesced": 0,
+                "heap_high_water": 4,
+            }
+        ]
 
     def test_unobserved_runs_emit_nothing(self):
         # No subscriber => wants("sched") is False => zero event cost.
