@@ -37,16 +37,17 @@ def matrix():
     Environment knobs (all optional; defaults reproduce the old serial
     behavior exactly — results are bit-identical either way):
 
-    * ``REPRO_BENCH_JOBS``  — shard cells across N processes (0 = one
-      per core);
+    * ``REPRO_BENCH_JOBS``  — shard cells across N worker processes
+      (0 = one per core) with :class:`~repro.exec.SupervisedRunner`;
     * ``REPRO_BENCH_CACHE`` — content-addressed result-cache directory;
     * ``REPRO_BENCH_STAMP`` — write machine-readable sweep results
       (specs, cells, wall-clock, cache hit rate) to this path;
     * ``REPRO_BENCH_TIMEOUT`` / ``REPRO_BENCH_RETRIES`` /
-      ``REPRO_BENCH_RESUME`` — any of these routes the sweep through
-      :class:`~repro.exec.SupervisedRunner`: per-cell deadline
-      (seconds), retries before quarantine, and the crash-resumable
-      journal path (see docs/EXECUTION.md).
+      ``REPRO_BENCH_RESUME`` — the supervised runner's per-cell
+      deadline (seconds), retries before quarantine, and
+      crash-resumable journal path; any of them supervises the sweep
+      even without ``REPRO_BENCH_JOBS`` (see docs/EXECUTION.md).  A
+      cell quarantined after its retries fails the figure's asserts.
     """
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     cache_dir = os.environ.get("REPRO_BENCH_CACHE")

@@ -3,10 +3,10 @@
 Since the exec-layer refactor the harness no longer runs anything
 itself: it *names* the grid as :class:`~repro.exec.ExperimentSpec`
 values and hands the batch to a :class:`~repro.exec.Runner` — serial
-by default, process-pool when the caller wants the cores, cache-aware
-when given a :class:`~repro.exec.ResultCache`.  Cell values are
-identical whichever runner executes them (each spec is a
-self-contained deterministic simulation; see docs/EXECUTION.md).
+by default, the supervised multi-process runner when the caller wants
+the cores, cache-aware when given a :class:`~repro.exec.ResultCache`.
+Cell values are identical whichever runner executes them (each spec
+is a self-contained deterministic simulation; see docs/EXECUTION.md).
 """
 
 from __future__ import annotations
@@ -193,8 +193,9 @@ def run_matrix(
     """Run the full grid; speedups are vs the sequential baseline.
 
     ``runner`` defaults to :class:`~repro.exec.SerialRunner`; pass a
-    :class:`~repro.exec.ProcessPoolRunner` to shard cells across host
-    cores (results are bit-identical).  ``cache`` is only consulted
+    :class:`~repro.exec.SupervisedRunner` to shard cells across host
+    cores (results are bit-identical; a quarantined cell is left out,
+    see :func:`matrix_from_results`).  ``cache`` is only consulted
     when the caller did not bring a runner of their own.
     """
     if runner is None:
@@ -214,7 +215,11 @@ def validation_overhead_rows(
     seed: int = 1,
     runner: Optional[Runner] = None,
 ) -> List[Dict]:
-    """Fig. 11: amortized per-transaction validation time (us)."""
+    """Fig. 11: amortized per-transaction validation time (us).
+
+    A workload whose TinySTM or ROCoCoTM cell came back ``None``
+    (quarantined by :class:`~repro.exec.SupervisedRunner`) has no row.
+    """
     if runner is None:
         runner = SerialRunner()
     specs = [
@@ -225,6 +230,8 @@ def validation_overhead_rows(
     results = runner.run(specs)
     rows: List[Dict] = []
     for workload_cls, pair in zip(workloads, zip(results[::2], results[1::2])):
+        if any(stats is None for stats in pair):
+            continue
         row = {"workload": workload_cls.name}
         for stats in pair:
             row[stats.backend] = stats.mean_validation_us

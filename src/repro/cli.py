@@ -25,7 +25,10 @@ Every verb that runs a cell (stamp, chaos, sanitize, trace, metrics,
 and each fig10 cell) builds it as an :class:`ExperimentSpec`, whose
 checks are the only cell validation: ``--faults`` off ROCoCoTM and
 ClusterTM, ``--shards`` below 1, or ``--shards`` above 1 off ClusterTM
-exit 1 with the spec's message.
+exit 1 with the spec's message.  Runner settings are checked the same
+way, by ``default_runner`` and ``SupervisorPolicy``: ``--jobs`` below
+0, ``--timeout`` of 0 or less and ``--max-retries`` below 0 (flag or
+``REPRO_BENCH_*`` env) exit 1 before any cell runs.
 
 Exit codes: 0 success, 1 failure (violations found, run error), 2
 usage error, 3 completed-with-quarantined-cells (supervised sweeps
@@ -133,8 +136,9 @@ FLAGS = {
     ),
 }
 
-#: the flags that route a run through SupervisedRunner; verbs take
-#: them together, as the ``supervision`` argument group.
+#: the flags that set the SupervisedRunner policy (and supervise even a
+#: run without --jobs); verbs take them together, as the
+#: ``supervision`` argument group.
 SUPERVISION = ("--timeout", "--max-retries", "--resume", "--worker-faults")
 
 
@@ -165,7 +169,8 @@ def _add_flags(parser, *flags: str, **defaults) -> None:
         if flag == "supervision":
             group = parser.add_argument_group(
                 "supervision",
-                "any of these flags routes the sweep through SupervisedRunner "
+                "policy of the supervised runner that --jobs N sweeps always use; "
+                "any of these flags also supervises a sweep without --jobs "
                 "(deadlines, retries, quarantine, crash-resumable journal); "
                 "exit 3 = completed with quarantined cells",
             )
@@ -255,7 +260,7 @@ def _run_specs(args, specs, jobs=None, progress=None, stamp_json=None):
 
 def _report_supervision(runner) -> int:
     """Summarize a supervised sweep on stderr; the exit code is 3 when
-    cells were quarantined, else 0 (also for an unsupervised runner)."""
+    cells were quarantined, else 0 (also for the serial runner)."""
     if not isinstance(runner, SupervisedRunner):
         return 0
     print(runner.summary(), file=sys.stderr)

@@ -6,16 +6,17 @@ first-class shape:
 
 * :class:`ExperimentSpec` — a frozen, hashable value naming one run
   (workload, backend, threads, scale, seed, faults, cost model);
-* :class:`SerialRunner` / :class:`ProcessPoolRunner` — execute a batch
-  of specs, bit-identically, serially or sharded across host cores;
+* :class:`SerialRunner` — execute a batch of specs in this process,
+  the reference every parallel result is compared against;
 * :class:`ResultCache` — content-addressed JSON results keyed by spec
   hash + code fingerprint, so re-running a figure only executes
   changed cells;
 * :func:`write_bench_stamp` — the machine-readable ``BENCH_stamp.json``
   record (specs, cells, wall-clock, cache hit rate);
-* :class:`SupervisedRunner` / :class:`SupervisorPolicy` — the
-  resilient execution layer: per-cell deadlines, heartbeat hang
-  detection, bounded seeded retries, poison-cell quarantine;
+* :class:`SupervisedRunner` / :class:`SupervisorPolicy` — the one
+  multi-process runner: cells sharded over long-lived worker slots,
+  bit-identically to serial, with per-cell deadlines, heartbeat hang
+  detection, bounded seeded retries and poison-cell quarantine;
 * :class:`SweepJournal` — the fsynced per-sweep WAL behind
   ``--resume``: a SIGKILLed sweep resumes bit-identically.
 
@@ -26,7 +27,6 @@ argument.
 from .cache import ResultCache, code_fingerprint
 from .journal import JournalState, SweepJournal, sweep_key
 from .runner import (
-    ProcessPoolRunner,
     Runner,
     SerialRunner,
     default_runner,
@@ -40,7 +40,6 @@ __all__ = [
     "BACKEND_REGISTRY",
     "ExperimentSpec",
     "JournalState",
-    "ProcessPoolRunner",
     "ResultCache",
     "Runner",
     "SerialRunner",

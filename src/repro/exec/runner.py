@@ -12,16 +12,16 @@ The contract every runner honors:
   :class:`~repro.exec.cache.ResultCache` and it executes only the
   misses, filling hits from disk; the returned list is the same either
   way.
-* **Graceful degradation** — :class:`ProcessPoolRunner` prefers
-  ``fork`` (cheap), accepts ``spawn`` (workers rebuild specs from
-  plain dicts, so nothing unpicklable crosses the boundary), and falls
-  back to in-process serial execution when multiprocessing is
-  unavailable or the pool dies.
+
+Two runners exist: :class:`SerialRunner` here, the reference every
+bit-identity test compares against, and
+:class:`~repro.exec.supervise.SupervisedRunner`, the only multi-process
+runner (long-lived worker slots with deadlines, retries and
+quarantine).  :func:`default_runner` picks between them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..runtime import RunStats
@@ -55,27 +55,34 @@ class Runner:
     ) -> List[RunStats]:
         specs = list(specs)
         results: List[Optional[RunStats]] = [None] * len(specs)
-        miss_indices: List[int] = []
+        misses: List[int] = []
         for index, spec in enumerate(specs):
-            if self.cache is not None:
-                cached = self.cache.get(spec)
-                if cached is not None:
-                    results[index] = cached
-                    if progress is not None:
-                        progress(f"{spec.label()} [cached]")
-                    continue
-            miss_indices.append(index)
-        fresh = self._execute([specs[i] for i in miss_indices], progress)
-        for index, stats in zip(miss_indices, fresh):
-            results[index] = stats
-            if self.cache is not None:
-                self.cache.put(specs[index], stats)
+            cached = self.cache.get(spec) if self.cache is not None else None
+            if cached is None:
+                misses.append(index)
+                continue
+            results[index] = cached
+            if progress is not None:
+                progress(f"{spec.label()} [cached]")
+        self._execute(specs, misses, results, progress)
         return results  # type: ignore[return-value]
 
     def _execute(
-        self, specs: List[ExperimentSpec], progress: Progress
-    ) -> List[RunStats]:
+        self,
+        specs: List[ExperimentSpec],
+        misses: List[int],
+        results: List[Optional[RunStats]],
+        progress: Progress,
+    ) -> None:
+        """Fill ``results[i]`` for every cache miss ``i`` in *misses*."""
         raise NotImplementedError
+
+    def _finish(self, spec: ExperimentSpec, stats: RunStats, progress: Progress) -> None:
+        """Cache one freshly executed cell and report it."""
+        if self.cache is not None:
+            self.cache.put(spec, stats)
+        if progress is not None:
+            progress(f"{spec.label()} makespan={stats.makespan_ns / 1e6:.3f} ms")
 
 
 class SerialRunner(Runner):
@@ -83,107 +90,10 @@ class SerialRunner(Runner):
 
     name = "serial"
 
-    def _execute(
-        self, specs: List[ExperimentSpec], progress: Progress
-    ) -> List[RunStats]:
-        results = []
-        for spec in specs:
-            stats = spec.execute()
-            results.append(stats)
-            if progress is not None:
-                progress(f"{spec.label()} makespan={stats.makespan_ns / 1e6:.3f} ms")
-        return results
-
-
-def _pick_context():
-    """The cheapest available start method (fork > spawn > None)."""
-    methods = multiprocessing.get_all_start_methods()
-    for method in ("fork", "spawn"):
-        if method in methods:
-            return multiprocessing.get_context(method)
-    return None
-
-
-class ProcessPoolRunner(Runner):
-    """Shards cells across host cores; bit-identical to serial.
-
-    Cells are submitted as individual ``apply_async`` handles and
-    collected in input order, so the merge is deterministic regardless
-    of which worker finished first.  A *pool-level* failure (broken
-    pipe, lost worker, pool that cannot be built) salvages every cell
-    whose result already arrived and reruns only the missing ones in
-    this process — recorded in :attr:`fallback_reason` so harnesses can
-    report it.  Cell-level exceptions raised by the workload itself
-    propagate unchanged; for deadlines, retries and quarantine see
-    :class:`~repro.exec.supervise.SupervisedRunner`.
-    """
-
-    name = "process-pool"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
-    ):
-        super().__init__(cache=cache)
-        cpus = multiprocessing.cpu_count()
-        self.max_workers = max(1, max_workers if max_workers is not None else cpus)
-        self.fallback_reason: Optional[str] = None
-
-    def _execute(
-        self, specs: List[ExperimentSpec], progress: Progress
-    ) -> List[RunStats]:
-        if len(specs) <= 1 or self.max_workers == 1:
-            return SerialRunner()._execute(specs, progress)
-        context = _pick_context()
-        if context is None:
-            self.fallback_reason = "no multiprocessing start method"
-            return SerialRunner()._execute(specs, progress)
-        payloads = [spec.canonical() for spec in specs]
-        workers = min(self.max_workers, len(specs))
-        raw: List[Optional[Dict]] = [None] * len(specs)
-        try:
-            pool = context.Pool(processes=workers)
-        except OSError as failure:  # can't even build a pool: run here.
-            self.fallback_reason = f"{type(failure).__name__}: {failure}"
-            return SerialRunner()._execute(specs, progress)
-        try:
-            # One handle per cell (not one bulk map): when the pool
-            # dies mid-sweep, every cell that already finished is
-            # salvaged and only the missing ones rerun serially.
-            handles = [pool.apply_async(run_payload, (p,)) for p in payloads]
-            for index, handle in enumerate(handles):
-                try:
-                    if self.fallback_reason is None:
-                        raw[index] = handle.get()
-                    elif handle.ready():
-                        # The pool is dead, but this cell's result was
-                        # delivered before it died: keep it.
-                        raw[index] = handle.get()
-                except (OSError, RuntimeError, EOFError, BrokenPipeError) as failure:
-                    # Pool-level death (broken pipe, lost worker, …) —
-                    # cell-level exceptions from run_payload propagate.
-                    if self.fallback_reason is None:
-                        self.fallback_reason = f"{type(failure).__name__}: {failure}"
-        finally:
-            pool.terminate()
-            pool.join()
-        results: List[RunStats] = []
-        salvaged = 0
-        for spec, entry in zip(specs, raw):
-            if entry is None:
-                stats = spec.execute()
-            else:
-                stats = RunStats.from_dict(entry)
-                salvaged += 1
-            results.append(stats)
-            if progress is not None:
-                progress(
-                    f"{spec.label()} makespan={stats.makespan_ns / 1e6:.3f} ms"
-                )
-        if self.fallback_reason is not None and salvaged:
-            self.fallback_reason += f" (salvaged {salvaged} completed cells)"
-        return results
+    def _execute(self, specs, misses, results, progress) -> None:
+        for index in misses:
+            results[index] = stats = specs[index].execute()
+            self._finish(specs[index], stats, progress)
 
 
 def default_runner(
@@ -197,28 +107,30 @@ def default_runner(
 ) -> Runner:
     """The runner choice shared by the CLI and benchmarks.
 
-    Any supervision keyword set -> a
-    :class:`~repro.exec.supervise.SupervisedRunner`: per-cell *timeout*
-    (seconds), *max_retries* before quarantine (policy default when
-    None), a *resume* journal path, and a *worker_faults* plan
-    (:class:`~repro.faults.WorkerFaultPlan`).  Otherwise ``jobs``
-    decides: None/1 -> serial; N > 1 -> a pool of N; 0 -> a pool sized
-    to the host.  A supervised runner reads ``jobs`` the same way.
+    ``jobs`` None/1 with no supervision keyword -> serial.  Anything
+    else -> a :class:`~repro.exec.supervise.SupervisedRunner` with
+    ``jobs`` worker slots (None/1 -> one, 0 -> one per host core), whose
+    policy the keywords fill in: per-cell *timeout* (seconds),
+    *max_retries* before quarantine (policy default when None), a
+    *resume* journal path, and a *worker_faults* plan
+    (:class:`~repro.faults.WorkerFaultPlan`).  Invalid values (negative
+    ``jobs``, a timeout <= 0, negative retries) raise ValueError.
     """
-    if timeout is not None or max_retries is not None or resume or worker_faults is not None:
-        from .supervise import SupervisedRunner, SupervisorPolicy
-
-        policy = {"timeout_s": timeout, "max_retries": max_retries}
-        return SupervisedRunner(
-            max_workers=jobs,
-            cache=cache,
-            policy=SupervisorPolicy(
-                **{name: value for name, value in policy.items() if value is not None}
-            ),
-            journal=resume,
-            resume=bool(resume),
-            worker_faults=worker_faults,
-        )
-    if jobs is None or jobs == 1:
+    supervised = (
+        timeout is not None or max_retries is not None or resume or worker_faults is not None
+    )
+    if jobs in (None, 1) and not supervised:
         return SerialRunner(cache=cache)
-    return ProcessPoolRunner(max_workers=jobs or None, cache=cache)
+    from .supervise import SupervisedRunner, SupervisorPolicy
+
+    policy = {"timeout_s": timeout, "max_retries": max_retries}
+    return SupervisedRunner(
+        max_workers=jobs,
+        cache=cache,
+        policy=SupervisorPolicy(
+            **{name: value for name, value in policy.items() if value is not None}
+        ),
+        journal=resume,
+        resume=bool(resume),
+        worker_faults=worker_faults,
+    )

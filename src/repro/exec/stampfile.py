@@ -76,8 +76,11 @@ def bench_stamp_payload(
     *results* (the runner's per-spec :class:`RunStats`, in spec order)
     adds a ``metrics`` section when any cell ran with observability:
     per-cell snapshots plus their merged aggregate.  Snapshots merge
-    counter-by-counter and bucket-by-bucket, so a pool-sharded sweep
-    stamps byte-identically to a serial one.
+    counter-by-counter and bucket-by-bucket, so a sweep sharded over
+    worker processes stamps byte-identically to a serial one.  The
+    ``runner`` field names the runner (``serial`` or ``supervised``);
+    ``runner_fallback`` appears only when a supervised runner found no
+    multiprocessing start method and ran its cells in-process.
     """
     generated_at, wall_clock_s = _provenance_clock(wall_clock_s)
     payload = {
@@ -94,8 +97,9 @@ def bench_stamp_payload(
         "specs": [spec.canonical() for spec in specs],
         "cells": [asdict(cell) for cell in matrix.cells],
     }
-    if isinstance(runner, Runner) and getattr(runner, "fallback_reason", None):
-        payload["runner_fallback"] = runner.fallback_reason
+    fallback = getattr(runner, "fallback_reason", None)
+    if fallback:
+        payload["runner_fallback"] = fallback
     quarantined = getattr(runner, "quarantined", None)
     if quarantined:
         # Quarantine diagnostics ride in the stamp so a partial sweep

@@ -1,25 +1,31 @@
-"""Supervised sweep execution: deadlines, retries, quarantine, resume.
+"""Supervised sweep execution: worker slots, deadlines, retries,
+quarantine, resume.
 
-:class:`~repro.exec.runner.ProcessPoolRunner` trusts its workers: a
-hung cell stalls the whole sweep, a killed worker can wedge the pool,
-and the blanket fallback used to rerun *everything* serially.  The
-:class:`SupervisedRunner` here removes that trust, one mechanism per
-failure mode:
+:class:`SupervisedRunner` is the one multi-process runner (``--jobs N``
+and every supervision flag land here).  It shards cells over
+``max_workers`` *slots*; each slot keeps one long-lived worker process
+that reads ``(payload, fault)`` cells from its own pipe, answers each
+with a report, and exits on the stop message.  A slot's worker is
+replaced only after it was killed (deadline or heartbeat) or found
+dead, so a healthy sweep forks once per slot, not once per cell.  The
+runner trusts none of its workers, one mechanism per failure mode:
 
-* **deadlines** — every cell runs in its own worker process with a
-  per-cell wall-clock deadline; a cell that blows it is killed and
-  retried (``runner.timeouts``).
+* **deadlines** — every cell has a per-cell wall-clock deadline; a
+  cell that blows it has its worker killed and is retried
+  (``runner.timeouts``).
 * **heartbeats** — workers beat a shared timestamp array from a
-  daemon thread; a process that stops beating (frozen, SIGSTOPped,
-  or dead before its first beat) is detected long before the deadline
-  and killed (failure kind ``hang``).
-* **crash detection** — a worker that exits without reporting (a
-  SIGKILL, an ``os._exit``, an OOM kill) is detected via its exit
-  code and retried (failure kind ``crash``).
+  daemon thread; a worker that stops beating while it runs a cell
+  (frozen, SIGSTOPped, or dead before its first beat) is detected long
+  before the deadline and killed (failure kind ``hang``).
+* **crash detection** — each worker holds the only copy of its pipe
+  end, so a worker that dies (a SIGKILL, an ``os._exit``, an OOM kill)
+  reads as EOF: a cell it was running is retried (failure kind
+  ``crash``); an idle one is respawned at the slot's next launch.
 * **bounded retries** — each failing cell is retried up to
   ``max_retries`` times with deterministically seeded exponential
   backoff (``random.Random(f"{seed}:{spec_hash}:{attempt}")`` — no
-  ambient entropy, so a fault campaign replays exactly).
+  ambient entropy, so a fault campaign replays exactly).  A cell that
+  raises is reported as ``error`` and its worker stays alive.
 * **quarantine** — a cell that fails every attempt is recorded with
   full diagnostics (journal + :attr:`SupervisedRunner.quarantined`)
   and *skipped*; one poison cell can no longer sink a sweep.
@@ -28,6 +34,10 @@ failure mode:
   journal serves those cells without re-execution and produces a
   bit-identical ``BENCH_stamp.json`` (simulated results are pure
   functions of their specs, so salvage cannot change a single byte).
+
+At the end every idle slot gets the stop message and is joined; a busy
+or unresponsive worker is killed.  A worker whose supervisor dies
+exits on its own.
 
 The wall clock appears in this module *only* as the supervisor's own
 scheduling clock (deadlines, heartbeats, backoff pacing for host
@@ -53,8 +63,8 @@ import signal
 import threading
 from collections import deque
 from dataclasses import dataclass
-from queue import Empty
-from typing import Dict, List, Optional, Sequence
+from multiprocessing.connection import wait
+from typing import Dict, List, Optional
 
 # The supervisor's scheduling clock (see the module docstring): every
 # read below times *host* processes, never simulated results.
@@ -65,14 +75,19 @@ from ..obs.spans import Marker
 from ..runtime import RunStats
 from .cache import ResultCache
 from .journal import SweepJournal
-from .runner import Runner, _pick_context, run_payload
+from .runner import Runner, run_payload
 from .spec import ExperimentSpec
-
-Progress = Optional[object]
 
 #: how long a hang-faulted worker sleeps; any sane deadline fires first.
 _HANG_SLEEP_S = 3600.0
 _CRASH_EXIT_CODE = 86
+#: how often an idle worker checks that its supervisor is still alive.
+_ORPHAN_CHECK_S = 1.0
+#: the supervisor's longest wait for a worker report before it checks
+#: deadlines and heartbeats again.
+_POLL_S = 0.02
+#: how long a worker told to stop may take to exit before it is killed.
+_STOP_GRACE_S = 1.0
 
 
 def _now() -> float:
@@ -101,6 +116,17 @@ class SupervisorPolicy:
     backoff_cap_s: float = 2.0
     seed: int = 0
 
+    def __post_init__(self):
+        # ``not x > 0`` also refuses NaN.
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ValueError(f"timeout must be > 0 seconds, got {self.timeout_s}")
+        if self.heartbeat_s is not None and not self.heartbeat_s > 0:
+            raise ValueError(f"heartbeat_s must be > 0 seconds, got {self.heartbeat_s}")
+        if self.heartbeat_misses < 1:
+            raise ValueError(f"heartbeat_misses must be >= 1, got {self.heartbeat_misses}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+
     @property
     def stale_after_s(self) -> Optional[float]:
         if self.heartbeat_s is None:
@@ -118,49 +144,80 @@ class SupervisorPolicy:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _beat_forever(heartbeats, slot: int, period_s: float) -> None:
-    while True:
+def _beat(heartbeats, slot: int, period_s: float, frozen) -> None:
+    while not frozen.is_set():
         heartbeats[slot] = _now()
-        _sleep(period_s)
+        frozen.wait(period_s)
 
 
-def _supervised_worker(
-    queue, heartbeats, slot, index, attempt, payload, fault, heartbeat_s
-) -> None:
-    """One cell in one process.  Module-level and dict-in/dict-out so
-    it pickles under ``spawn``.  *fault* applies a deterministic
-    worker-fault model (:mod:`repro.faults.worker`) in-situ."""
-    if fault == "hang":
-        # Frozen before the first heartbeat: the supervisor sees a
-        # silent worker (heartbeat staleness) or a blown deadline.
-        _sleep(_HANG_SLEEP_S)
-        os._exit(_CRASH_EXIT_CODE)
+def _slot_worker(conn, heartbeats, slot: int, heartbeat_s: Optional[float]) -> None:
+    """One worker slot's long-lived process: runs the ``(payload,
+    fault)`` cells sent down *conn* and answers each with ``("ok",
+    stats_dict)`` or ``("error", detail)``, until it reads the stop
+    message (``None``) or its supervisor is gone.  Module-level and
+    dict-in/dict-out so it pickles under ``spawn``.  *fault* applies a
+    deterministic worker-fault model (:mod:`repro.faults.worker`)
+    in-situ; ``garbage`` and ``partial-write`` leave the worker alive,
+    as does a cell that raises."""
+    frozen = threading.Event()
     if heartbeats is not None:
         threading.Thread(
-            target=_beat_forever,
-            args=(heartbeats, slot, heartbeat_s or 0.5),
-            daemon=True,
+            target=_beat, args=(heartbeats, slot, heartbeat_s, frozen), daemon=True
         ).start()
-    if fault == "crash":
-        if hasattr(signal, "SIGKILL"):
-            os.kill(os.getpid(), signal.SIGKILL)
-        os._exit(_CRASH_EXIT_CODE)  # non-POSIX stand-in
-    try:
-        out = run_payload(payload)
-    except BaseException as failure:  # report, don't vanish
-        queue.put(("error", index, attempt, f"{type(failure).__name__}: {failure}"))
-        return
-    if fault == "garbage":
-        out = {"oops": "not a RunStats payload"}
-    queue.put(("ok", index, attempt, out))
+    supervisor = os.getppid()
+    while True:
+        try:
+            while not conn.poll(_ORPHAN_CHECK_S):
+                if os.getppid() != supervisor:
+                    return  # the supervisor was killed: do not linger
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        if message is None:
+            return
+        payload, fault = message
+        if fault == "hang":
+            # Stop beating and go silent: the supervisor sees heartbeat
+            # staleness or a blown deadline.
+            frozen.set()
+            _sleep(_HANG_SLEEP_S)
+            os._exit(_CRASH_EXIT_CODE)
+        if fault == "crash":
+            if hasattr(signal, "SIGKILL"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(_CRASH_EXIT_CODE)  # non-POSIX stand-in
+        try:
+            report = ("ok", run_payload(payload))
+        except BaseException as failure:  # report, don't vanish
+            report = ("error", f"{type(failure).__name__}: {failure}")
+        if fault == "garbage" and report[0] == "ok":
+            report = ("ok", {"oops": "not a RunStats payload"})
+        try:
+            conn.send(report)
+        except OSError:
+            return
+
+
+def _pick_context():
+    """The cheapest available start method (fork > spawn > None)."""
+    methods = multiprocessing.get_all_start_methods()
+    for method in ("fork", "spawn"):
+        if method in methods:
+            return multiprocessing.get_context(method)
+    return None
 
 
 # ----------------------------------------------------------------------
 # supervisor side
 # ----------------------------------------------------------------------
 @dataclass
-class _Running:
+class _Worker:
     process: object
+    conn: object
+
+
+@dataclass
+class _Running:
     slot: int
     index: int
     attempt: int
@@ -192,12 +249,14 @@ class SupervisedRunner(Runner):
     ):
         super().__init__(cache=cache)
         # --jobs semantics: None/1 -> one worker, 0 -> host-sized, N -> N.
+        if max_workers is not None and max_workers < 0:
+            raise ValueError(f"jobs must be >= 0, got {max_workers}")
         if max_workers is None:
             workers = 1
         elif max_workers == 0:
             workers = multiprocessing.cpu_count()
         else:
-            workers = max(1, max_workers)
+            workers = max_workers
         self.max_workers = workers
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.journal_path = journal
@@ -219,21 +278,9 @@ class SupervisedRunner(Runner):
         self._marker_seq = 0
 
     # ------------------------------------------------------------------
-    def run(self, specs: Sequence[ExperimentSpec], progress=None) -> List[RunStats]:
-        specs = list(specs)
-        results: List[Optional[RunStats]] = [None] * len(specs)
+    def _execute(self, specs, misses, results, progress) -> None:
         self.quarantined = {}
-        reg = self.metrics
-        pending: List[int] = []
-        for index, spec in enumerate(specs):
-            if self.cache is not None:
-                cached = self.cache.get(spec)
-                if cached is not None:
-                    results[index] = cached
-                    if progress is not None:
-                        progress(f"{spec.label()} [cached]")
-                    continue
-            pending.append(index)
+        pending = misses
         journal = None
         if self.journal_path:
             journal = SweepJournal(self.journal_path)
@@ -241,7 +288,7 @@ class SupervisedRunner(Runner):
                 [spec.content_hash() for spec in specs], resume=self.resume
             )
             if state.corrupt:
-                reg.count("runner.journal_corrupt", len(state.corrupt))
+                self.metrics.count("runner.journal_corrupt", len(state.corrupt))
             pending = self._salvage(specs, pending, results, state, progress)
         try:
             if pending:
@@ -249,7 +296,6 @@ class SupervisedRunner(Runner):
         finally:
             if journal is not None:
                 journal.close()
-        return results  # type: ignore[return-value]
 
     def _salvage(self, specs, pending, results, state, progress) -> List[int]:
         """Serve completed/poisoned cells from the loaded journal."""
@@ -333,10 +379,7 @@ class SupervisedRunner(Runner):
         reg.observe("runner.attempts", attempt + 1, RETRY_BOUNDS)
         if journal is not None:
             journal.record_result(spec.content_hash(), stats.to_dict())
-        if self.cache is not None:
-            self.cache.put(spec, stats)
-        if progress is not None:
-            progress(f"{spec.label()} makespan={stats.makespan_ns / 1e6:.3f} ms")
+        self._finish(spec, stats, progress)
 
     def _after_failure(
         self, spec, index, attempt, kind, detail, failures, journal, progress
@@ -435,43 +478,45 @@ class SupervisedRunner(Runner):
     def _supervise_processes(
         self, context, specs, pending, results, journal, progress
     ) -> None:
-        workers = min(self.max_workers, len(pending))
-        queue = context.Queue()
+        slots = min(self.max_workers, len(pending))
+        heartbeat_s = self.policy.heartbeat_s
         heartbeats = None
-        if self.policy.heartbeat_s is not None:
-            heartbeats = context.Array("d", workers, lock=False)
-        free = list(range(workers - 1, -1, -1))
+        if heartbeat_s is not None:
+            heartbeats = context.Array("d", slots, lock=False)
+        workers: List[Optional[_Worker]] = [None] * slots
+        running: Dict[int, _Running] = {}  # slot -> the cell it runs
+        free = list(range(slots - 1, -1, -1))
         todo = deque(pending)
         delayed: List = []  # (ready_s, index) heap
         attempts: Dict[int, int] = {index: 0 for index in pending}
         failures: Dict[int, List] = {}
-        running: Dict[int, _Running] = {}
 
-        def launch(index: int) -> None:
-            slot = free.pop()
-            attempt = attempts[index]
-            fault = self._fault_for(index, attempt)
+        def spawn(slot: int) -> None:
+            ours, theirs = context.Pipe()
             if heartbeats is not None:
                 heartbeats[slot] = 0.0
             process = context.Process(
-                target=_supervised_worker,
-                args=(
-                    queue,
-                    heartbeats,
-                    slot,
-                    index,
-                    attempt,
-                    specs[index].canonical(),
-                    fault,
-                    self.policy.heartbeat_s,
-                ),
+                target=_slot_worker,
+                args=(theirs, heartbeats, slot, heartbeat_s),
                 daemon=True,
             )
             process.start()
-            running[index] = _Running(process, slot, index, attempt, _now(), fault)
+            # The worker now holds the only copy of its end, so its
+            # death reads as EOF here.
+            theirs.close()
+            workers[slot] = _Worker(process, ours)
+
+        def retire(slot: int) -> Optional[int]:
+            """Kill *slot*'s worker if it still runs and forget it; the
+            next launch on the slot spawns a fresh one."""
+            worker = workers[slot]
+            workers[slot] = None
+            self._kill(worker.process)
+            worker.conn.close()
+            return worker.process.exitcode
 
         def fail(entry: _Running, kind: str, detail: str) -> None:
-            running.pop(entry.index, None)
+            del running[entry.slot]
             free.append(entry.slot)
             backoff = self._after_failure(
                 specs[entry.index],
@@ -487,95 +532,101 @@ class SupervisedRunner(Runner):
             if backoff is not None:
                 heapq.heappush(delayed, (_now() + backoff, entry.index))
 
-        def handle(message) -> None:
-            kind, index, attempt, payload = message
-            entry = running.get(index)
-            if entry is None or entry.attempt != attempt:
-                return  # stale report from an attempt we already killed
+        def launch(index: int) -> None:
+            slot = free.pop()
+            worker = workers[slot]
+            if worker is None or not worker.process.is_alive():
+                if worker is not None:
+                    retire(slot)  # died while idle
+                spawn(slot)
+            attempt = attempts[index]
+            fault = self._fault_for(index, attempt)
+            entry = running[slot] = _Running(slot, index, attempt, _now(), fault)
+            try:
+                workers[slot].conn.send((specs[index].canonical(), fault))
+            except OSError as failure:
+                retire(slot)
+                fail(entry, "crash", f"worker gone before the cell reached it: {failure}")
+
+        def receive(slot: int) -> None:
+            entry = running.get(slot)
+            try:
+                kind, payload = workers[slot].conn.recv()
+            except (EOFError, OSError):
+                code = retire(slot)
+                if entry is not None:
+                    fail(
+                        entry,
+                        "crash",
+                        f"worker exited with code {code} before reporting",
+                    )
+                return
+            index = entry.index
             if kind == "error":
-                entry.process.join(1.0)
                 fail(entry, "error", payload)
                 return
             if entry.fault == "partial-write":
                 if journal is not None:
-                    journal.record_torn_result(
-                        specs[index].content_hash(), payload
-                    )
-                entry.process.join(1.0)
+                    journal.record_torn_result(specs[index].content_hash(), payload)
                 fail(entry, "partial-write", "journal entry torn mid-write")
                 return
             decoded = self._decode(specs[index], payload)
             if not isinstance(decoded, RunStats):
-                entry.process.join(1.0)
                 fail(entry, "garbage-output", decoded)
                 return
-            entry.process.join(1.0)
-            running.pop(index, None)
-            free.append(entry.slot)
+            del running[slot]
+            free.append(slot)
             self._accept(
                 specs[index], index, entry.attempt, decoded, results, journal, progress
             )
-
-        def drain_pending_messages() -> None:
-            while True:
-                try:
-                    handle(queue.get_nowait())
-                except Empty:
-                    return
 
         try:
             while todo or delayed or running:
                 now = _now()
                 while free and delayed and delayed[0][0] <= now:
-                    _, index = heapq.heappop(delayed)
-                    launch(index)
+                    launch(heapq.heappop(delayed)[1])
                 while free and todo:
                     launch(todo.popleft())
-                try:
-                    handle(queue.get(timeout=0.02))
-                except Empty:
-                    pass
-                drain_pending_messages()
+                conns = {
+                    worker.conn: slot
+                    for slot, worker in enumerate(workers)
+                    if worker is not None
+                }
+                for conn in wait(list(conns), timeout=_POLL_S):
+                    receive(conns[conn])
                 now = _now()
-                for entry in list(running.values()):
-                    if running.get(entry.index) is not entry:
-                        continue
+                for slot, entry in list(running.items()):
                     deadline = self.policy.timeout_s
                     if deadline is not None and now - entry.started_s > deadline:
-                        self._kill(entry.process)
+                        retire(slot)
                         fail(entry, "timeout", f"deadline {deadline:g}s exceeded")
                         continue
                     stale = self.policy.stale_after_s
-                    if stale is not None and heartbeats is not None:
-                        last = max(heartbeats[entry.slot], entry.started_s)
+                    if stale is not None:
+                        last = max(heartbeats[slot], entry.started_s)
                         if now - last > stale:
-                            self._kill(entry.process)
-                            fail(
-                                entry,
-                                "hang",
-                                f"no heartbeat for {now - last:.2f}s",
-                            )
-                            continue
-                    if not entry.process.is_alive():
-                        # The worker may have reported and *then* died;
-                        # give the queue feeder a moment to surface it.
-                        patience = _now() + 0.3
-                        while (
-                            running.get(entry.index) is entry and _now() < patience
-                        ):
-                            drain_pending_messages()
-                            if running.get(entry.index) is entry:
-                                _sleep(0.01)
-                        if running.get(entry.index) is entry:
-                            fail(
-                                entry,
-                                "crash",
-                                "worker exited with code "
-                                f"{entry.process.exitcode} before reporting",
-                            )
+                            retire(slot)
+                            fail(entry, "hang", f"no heartbeat for {now - last:.2f}s")
         finally:
-            for entry in running.values():
-                self._kill(entry.process)
+            self._stop(workers, running)
+
+    def _stop(self, workers, running) -> None:
+        """Send every idle worker the stop message, then join each; a
+        busy or unresponsive one is killed."""
+        live = [
+            (slot, worker) for slot, worker in enumerate(workers) if worker is not None
+        ]
+        for slot, worker in live:
+            if slot not in running:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
+        for slot, worker in live:
+            if slot not in running:
+                worker.process.join(_STOP_GRACE_S)
+            self._kill(worker.process)
+            worker.conn.close()
 
     # ------------------------------------------------------------------
     def summary(self) -> str:

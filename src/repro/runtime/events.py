@@ -128,14 +128,18 @@ class EventBus:
 
         Delivery order is subscription order; subscribing the same
         function twice delivers it twice (wrap if you need idempotence).
+        An unknown kind raises ``ValueError`` before anything is
+        registered.
         """
         if kinds is None:
             self._all.append(fn)
             self.wanted.update(EVENT_KINDS)
             return
+        kinds = list(kinds)
         for kind in kinds:
             if kind not in EVENT_KINDS:
                 raise ValueError(f"unknown event kind {kind!r}")
+        for kind in kinds:
             self._by_kind.setdefault(kind, []).append(fn)
             self.wanted.add(kind)
 

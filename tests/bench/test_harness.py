@@ -79,6 +79,26 @@ class TestValidationRows:
         assert rows[0]["TinySTM"] > 0
         assert rows[0]["ROCoCoTM"] > 0
 
+    def test_quarantined_cell_drops_its_row(self):
+        """A ``None`` result (a cell the supervised runner quarantined)
+        skips that workload's row instead of raising."""
+        from repro.exec import SerialRunner
+
+        class QuarantineKmeansTinySTM(SerialRunner):
+            def run(self, specs, progress=None):
+                results = super().run(specs, progress)
+                return [
+                    None if (s.workload, s.backend) == ("kmeans", "TinySTM") else r
+                    for s, r in zip(specs, results)
+                ]
+
+        rows = validation_overhead_rows(
+            [KmeansWorkload, Ssca2Workload], n_threads=2, scale=0.1,
+            runner=QuarantineKmeansTinySTM(),
+        )
+        assert [row["workload"] for row in rows] == ["ssca2"]
+        assert rows[0]["TinySTM"] > 0 and rows[0]["ROCoCoTM"] > 0
+
 
 class TestReporting:
     def test_format_table(self):

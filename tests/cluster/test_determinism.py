@@ -1,12 +1,12 @@
-"""Cluster determinism: pool == serial, and single-shard ClusterTM
+"""Cluster determinism: parallel == serial, and single-shard ClusterTM
 stamps byte-identically to plain ROCoCoTM (modulo the backend name)."""
 
 import pytest
 
 from repro.exec import (
     ExperimentSpec,
-    ProcessPoolRunner,
     SerialRunner,
+    SupervisedRunner,
     write_bench_stamp,
 )
 from repro.bench import matrix_from_results, matrix_specs
@@ -28,7 +28,7 @@ def _dicts(stats_list):
 class TestPoolIdentity:
     def test_pool_identical_to_serial(self):
         serial = SerialRunner().run(CLUSTER_GRID)
-        pooled = ProcessPoolRunner(max_workers=2).run(CLUSTER_GRID)
+        pooled = SupervisedRunner(max_workers=2).run(CLUSTER_GRID)
         assert _dicts(serial) == _dicts(pooled)
 
 

@@ -55,6 +55,31 @@ class TestBitIdentity:
         assert _dicts(supervised) == _dicts(SerialRunner().run(MINI_GRID))
 
 
+class TestPolicyValidation:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"timeout_s": 0.0},
+            {"timeout_s": -1.0},
+            {"max_retries": -1},
+            {"heartbeat_s": 0.0},
+            {"heartbeat_misses": 0},
+        ],
+        ids=["timeout-zero", "timeout-negative", "retries", "heartbeat", "misses"],
+    )
+    def test_invalid_policy_refused(self, fields):
+        with pytest.raises(ValueError):
+            SupervisorPolicy(**fields)
+
+    def test_negative_workers_refused(self):
+        with pytest.raises(ValueError, match="jobs"):
+            SupervisedRunner(max_workers=-3)
+
+    def test_disabled_timers_allowed(self):
+        policy = SupervisorPolicy(timeout_s=None, heartbeat_s=None, max_retries=0)
+        assert policy.stale_after_s is None
+
+
 class TestCrashRecovery:
     @needs_processes
     def test_sigkilled_worker_is_retried(self):

@@ -11,6 +11,9 @@
 * ``sched_digests`` — per (backend, seed) sha256 of the scheduler grid
   in tests/runtime/test_sched.py (:func:`grid_digest`).
 
+The shards=1 stamp is also what the supervised multi-process runner
+must produce (``--jobs 2``, and with a worker crash injected).
+
 Regenerate only when a change is meant to move simulated results, and
 say why in the same commit.  From the repository root::
 
@@ -24,6 +27,8 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from tests.runtime.test_sched import GRID_BACKENDS, grid_digest
 
@@ -34,11 +39,12 @@ SHARDS = (1, 2)
 SEEDS = (0, 1)
 
 
-def fig10_stamp(shards: int) -> dict:
-    """The mini-grid stamp for one shard count, via the CLI."""
+def fig10_stamp(shards: int, *extra: str) -> dict:
+    """The mini-grid stamp for one shard count, via the CLI; *extra*
+    flags pick the runner."""
     argv = [
         "fig10", "--scale", "0.1", "--workloads", "kmeans", "ssca2",
-        "--threads", "1", "4", "--shards", str(shards),
+        "--threads", "1", "4", "--shards", str(shards), *extra,
     ]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "BENCH_stamp.json")
@@ -66,6 +72,23 @@ def golden_text() -> str:
 def test_golden_reproduced(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     assert golden_text() == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--jobs", "2"), ("--worker-faults", "crash@1:0")],
+    ids=["jobs", "crash-retried"],
+)
+def test_parallel_sweep_reproduces_golden(extra, monkeypatch):
+    """The supervised runner's stamp (two worker slots; one worker
+    SIGKILLed and its cell retried) is the serial golden, byte for
+    byte."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    golden = json.loads(GOLDEN.read_text())["stamps"]["shards=1"]
+    stamp = fig10_stamp(1, *extra)
+    assert json.dumps(stamp, indent=1, sort_keys=True) == json.dumps(
+        golden, indent=1, sort_keys=True
+    )
 
 
 if __name__ == "__main__":

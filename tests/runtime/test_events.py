@@ -43,6 +43,22 @@ class TestEventBus:
         with pytest.raises(ValueError):
             EventBus().subscribe(lambda e: None, kinds=("teleport",))
 
+    def test_failed_subscribe_registers_nothing(self):
+        """A kind list with one unknown entry is refused whole: the
+        valid kinds before it are not left subscribed."""
+        bus = EventBus()
+        bus.subscribe(lambda e: None, kinds=("commit",))
+        before = (set(bus.wanted), {k: list(v) for k, v in bus._by_kind.items()},
+                  list(bus._all))
+        seen = []
+        with pytest.raises(ValueError, match="teleport"):
+            bus.subscribe(seen.append, kinds=("read", "teleport"))
+        after = (set(bus.wanted), {k: list(v) for k, v in bus._by_kind.items()},
+                 list(bus._all))
+        assert after == before
+        bus.emit(SimEvent("read", 0, 1.0, addr=0))
+        assert seen == []
+
     def test_wants(self):
         bus = EventBus()
         assert not bus.wants("read")

@@ -285,6 +285,29 @@ class TestSupervisedCli:
                   "--scale", "0.1"])
         assert "REPRO_BENCH_RETRIES" in str(bail.value.code)
 
+    @pytest.mark.parametrize(
+        "flags, env",
+        [
+            (["--timeout", "-1"], {}),
+            (["--timeout", "0"], {}),
+            (["--max-retries", "-2"], {}),
+            (["--jobs", "-3"], {}),
+            ([], {"REPRO_BENCH_TIMEOUT": "0"}),
+            ([], {"REPRO_BENCH_RETRIES": "-1"}),
+        ],
+        ids=["timeout-negative", "timeout-zero", "retries", "jobs",
+             "env-timeout", "env-retries"],
+    )
+    def test_invalid_runner_value_exits_one(self, flags, env, capsys, monkeypatch):
+        """Refused before any cell runs, not run and quarantined."""
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["chaos", "kmeans", "--threads", "2", "--scale", "0.1"]
+                    + flags) == 1
+        captured = capsys.readouterr()
+        assert "ValueError" in captured.err
+        assert "QUARANTINED" not in captured.out and "supervised:" not in captured.err
+
     def test_chaos_quarantine_row_and_exit(self, capsys):
         assert main(["chaos", "kmeans", "--schedule", "drop", "spike",
                      "--threads", "2", "--scale", "0.1",
