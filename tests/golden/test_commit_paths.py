@@ -12,8 +12,11 @@ there reaches the irrevocable escape hatch.  ``commit_paths.json`` pins:
   validation ladder has no software rung (kmeans, 4 threads, scale
   0.25): it reaches the forced hatch and the phantom slots;
 * ``traces`` — sha256 of the Chrome trace payload, compact with sorted
-  keys, of vacation on ROCoCoTM and on ClusterTM at 2 shards: both
-  shapes of the ``validate`` event (single-node and ``xshard``).
+  keys, of vacation on ROCoCoTM and on ClusterTM at 2 shards (both
+  shapes of the ``validate`` event, single-node and ``xshard``), of
+  kmeans on ClusterTM at 2 shards under ``faults=stall`` (``fault`` and
+  ``ladder`` markers and the ``s<N>:`` hw lanes), and of vacation on
+  ROCoCoTM traced with ``detail=False`` (no read/write markers).
 
 Regenerate only when a change is meant to move simulated results, and
 say why in the same commit.  From the repository root::
@@ -57,9 +60,18 @@ CELLS = {
     ),
 }
 
+#: label -> (workload, backend factory, tracer detail)
 TRACES = {
-    "ROCoCoTM/vacation": lambda: RococoTMBackend(),
-    "ClusterTM/vacation/shards=2": lambda: ClusterTMBackend(shards=2),
+    "ROCoCoTM/vacation": (VacationWorkload, lambda: RococoTMBackend(), True),
+    "ClusterTM/vacation/shards=2": (
+        VacationWorkload, lambda: ClusterTMBackend(shards=2), True,
+    ),
+    "ClusterTM/kmeans/shards=2/faults=stall": (
+        KmeansWorkload, lambda: ClusterTMBackend(shards=2, faults="stall"), True,
+    ),
+    "ROCoCoTM/vacation/detail=False": (
+        VacationWorkload, lambda: RococoTMBackend(), False,
+    ),
 }
 
 
@@ -83,9 +95,10 @@ def _exhausted_ladder() -> str:
     return _run(KmeansWorkload, backend, observed=False, threads=4, scale=0.25)
 
 
-def _trace(make_backend) -> str:
+def _trace(workload, make_backend, detail: bool) -> str:
     _, tracer, _ = observe_stamp(
-        VacationWorkload, make_backend(), THREADS, scale=SCALE, seed=SEED, metrics=False
+        workload, make_backend(), THREADS, scale=SCALE, seed=SEED,
+        metrics=False, detail=detail,
     )
     return _sha256(chrome_trace_payload(tracer))
 
@@ -100,7 +113,7 @@ def golden() -> dict:
             for observed in (False, True)
         },
         "exhausted_ladder": _exhausted_ladder(),
-        "traces": {label: _trace(make) for label, make in TRACES.items()},
+        "traces": {label: _trace(*cell) for label, cell in TRACES.items()},
     }
 
 
