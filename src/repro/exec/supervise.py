@@ -20,7 +20,14 @@ runner trusts none of its workers, one mechanism per failure mode:
 * **crash detection** — each worker holds the only copy of its pipe
   end, so a worker that dies (a SIGKILL, an ``os._exit``, an OOM kill)
   reads as EOF: a cell it was running is retried (failure kind
-  ``crash``); an idle one is respawned at the slot's next launch.
+  ``crash``); an idle one is respawned at the slot's next launch.  A
+  worker acknowledges each cell before running it, so one that died
+  idle but was not yet reaped (it still reads as alive, and the cell
+  was sent into its pipe) costs the cell no attempt: its EOF arrives
+  before the acknowledgement, and the slot is respawned and the cell
+  resent.  A worker spawned for the cell that dies unacknowledged is
+  charged a ``crash``, so a slot whose workers cannot start still
+  fails its cells.
 * **bounded retries** — each failing cell is retried up to
   ``max_retries`` times with deterministically seeded exponential
   backoff (``random.Random(f"{seed}:{spec_hash}:{attempt}")`` — no
@@ -152,7 +159,8 @@ def _beat(heartbeats, slot: int, period_s: float, frozen) -> None:
 
 def _slot_worker(conn, heartbeats, slot: int, heartbeat_s: Optional[float]) -> None:
     """One worker slot's long-lived process: runs the ``(payload,
-    fault)`` cells sent down *conn* and answers each with ``("ok",
+    fault)`` cells sent down *conn*, acknowledges each with ``("ack",
+    None)`` before running it and answers it with ``("ok",
     stats_dict)`` or ``("error", detail)``, until it reads the stop
     message (``None``) or its supervisor is gone.  Module-level and
     dict-in/dict-out so it pickles under ``spawn``.  *fault* applies a
@@ -176,6 +184,10 @@ def _slot_worker(conn, heartbeats, slot: int, heartbeat_s: Optional[float]) -> N
         if message is None:
             return
         payload, fault = message
+        try:
+            conn.send(("ack", None))
+        except OSError:
+            return
         if fault == "hang":
             # Stop beating and go silent: the supervisor sees heartbeat
             # staleness or a blown deadline.
@@ -223,6 +235,10 @@ class _Running:
     attempt: int
     started_s: float
     fault: Optional[str]
+    #: the slot's worker was spawned for this cell (not reused idle).
+    fresh: bool = False
+    #: the worker acknowledged the cell, so it started running it.
+    acked: bool = False
 
 
 class SupervisedRunner(Runner):
@@ -534,19 +550,36 @@ class SupervisedRunner(Runner):
 
         def launch(index: int) -> None:
             slot = free.pop()
-            worker = workers[slot]
-            if worker is None or not worker.process.is_alive():
-                if worker is not None:
-                    retire(slot)  # died while idle
-                spawn(slot)
             attempt = attempts[index]
             fault = self._fault_for(index, attempt)
             entry = running[slot] = _Running(slot, index, attempt, _now(), fault)
+            dispatch(entry)
+
+        def dispatch(entry: _Running) -> None:
+            """Send *entry*'s cell to its slot's worker, spawning one
+            first if the slot has none or its worker is dead."""
+            slot = entry.slot
+            worker = workers[slot]
+            entry.fresh = worker is None or not worker.process.is_alive()
+            if entry.fresh:
+                if worker is not None:
+                    retire(slot)  # died while idle
+                spawn(slot)
+            entry.started_s = _now()
             try:
-                workers[slot].conn.send((specs[index].canonical(), fault))
+                workers[slot].conn.send((specs[entry.index].canonical(), entry.fault))
             except OSError as failure:
                 retire(slot)
-                fail(entry, "crash", f"worker gone before the cell reached it: {failure}")
+                lost(entry, f"worker gone before the cell reached it: {failure}")
+
+        def lost(entry: _Running, detail: str) -> None:
+            """*entry*'s worker died before acknowledging the cell: a
+            reused worker died idle, so the cell is resent to a fresh
+            one at no attempt; a fresh one is charged a crash."""
+            if entry.fresh:
+                fail(entry, "crash", detail)
+            else:
+                dispatch(entry)
 
         def receive(slot: int) -> None:
             entry = running.get(slot)
@@ -554,12 +587,16 @@ class SupervisedRunner(Runner):
                 kind, payload = workers[slot].conn.recv()
             except (EOFError, OSError):
                 code = retire(slot)
-                if entry is not None:
-                    fail(
-                        entry,
-                        "crash",
-                        f"worker exited with code {code} before reporting",
-                    )
+                if entry is None:
+                    return
+                detail = f"worker exited with code {code} before reporting"
+                if entry.acked:
+                    fail(entry, "crash", detail)
+                else:
+                    lost(entry, detail)
+                return
+            if kind == "ack":
+                entry.acked = True
                 return
             index = entry.index
             if kind == "error":

@@ -23,7 +23,7 @@ contract, DESIGN.md).
 from __future__ import annotations
 
 import json
-from typing import List
+from typing import Dict, List, Tuple
 
 from .spans import HW_MARKER_LANES, HW_STAGES, SpanTracer
 
@@ -59,30 +59,22 @@ def chrome_trace_payload(tracer: SpanTracer, **meta) -> dict:
     """Build the trace-event payload dict for *tracer*.
 
     Keyword arguments land in ``otherData`` (workload, backend, seed,
-    ...); values must be JSON-serializable and deterministic.
+    ...); values must be JSON-serializable and deterministic.  Marker
+    ``args`` dicts are shared with the tracer, not copied.
     """
     tracer.finish()
-    events: List[dict] = []
+    # (pid, lane) -> Chrome (pid, tid), computed once per distinct lane.
+    lane_ids: Dict[tuple, Tuple[int, int]] = {}
 
-    lanes = set()
-    for span in tracer.spans:
-        lanes.add((span.pid, span.lane))
-    for marker in tracer.markers:
-        lanes.add((marker.pid, marker.lane))
-
-    # Metadata rows: stable names so lanes line up across exports.
-    events.append(_meta(CPU_PID, 0, "process_name", {"name": "cpu (simulated threads)"}))
-    events.append(_meta(HW_PID, 0, "process_name", {"name": "hw (validation pipeline)"}))
-    for pid, lane in sorted(lanes, key=lambda item: (_lane_pid(item[0]), _lane_tid(*item))):
-        name = f"thread {lane}" if pid == "cpu" else str(lane)
-        events.append(
-            _meta(_lane_pid(pid), _lane_tid(pid, lane), "thread_name", {"name": name})
-        )
+    def ids(pid: str, lane) -> Tuple[int, int]:
+        chrome = lane_ids[pid, lane] = (_lane_pid(pid), _lane_tid(pid, lane))
+        return chrome
 
     rows: List[tuple] = []
     for span in tracer.spans:
-        pid = _lane_pid(span.pid)
-        tid = _lane_tid(span.pid, span.lane)
+        pid, tid = lane_ids.get((span.pid, span.lane)) or ids(span.pid, span.lane)
+        start = span.start_ns
+        dur = span.end_ns - start
         args = dict(span.args)
         args["span_id"] = span.span_id
         if span.parent_id is not None:
@@ -91,8 +83,8 @@ def chrome_trace_payload(tracer: SpanTracer, **meta) -> dict:
             (
                 pid,
                 tid,
-                span.start_ns,
-                -(span.end_ns - span.start_ns),
+                start,
+                -dur,
                 span.span_id,
                 {
                     "name": span.name,
@@ -100,23 +92,25 @@ def chrome_trace_payload(tracer: SpanTracer, **meta) -> dict:
                     "ph": "X",
                     "pid": pid,
                     "tid": tid,
-                    "ts": span.start_ns / 1000.0,
-                    "dur": (span.end_ns - span.start_ns) / 1000.0,
+                    "ts": start / 1000.0,
+                    "dur": dur / 1000.0,
                     "args": args,
                 },
             )
         )
+    # Markers sort after any span opening at the same ts.
+    next_id = tracer._next_id
     for index, marker in enumerate(tracer.markers):
-        pid = _lane_pid(marker.pid)
-        tid = _lane_tid(marker.pid, marker.lane)
+        pid, tid = lane_ids.get((marker.pid, marker.lane)) or ids(
+            marker.pid, marker.lane
+        )
         rows.append(
             (
                 pid,
                 tid,
                 marker.ts_ns,
                 0.0,
-                # Markers sort after any span opening at the same ts.
-                tracer._next_id + index,
+                next_id + index,
                 {
                     "name": marker.name,
                     "cat": marker.cat,
@@ -125,13 +119,26 @@ def chrome_trace_payload(tracer: SpanTracer, **meta) -> dict:
                     "pid": pid,
                     "tid": tid,
                     "ts": marker.ts_ns / 1000.0,
-                    "args": dict(marker.args),
+                    "args": marker.args,
                 },
             )
         )
     # Per-lane time order; longer spans first at equal start so
-    # children follow their enclosing parents.
-    rows.sort(key=lambda row: row[:5])
+    # children follow their enclosing parents.  Element 4 (span id, or
+    # past the last id for markers) is unique, so the dicts are never
+    # compared.
+    rows.sort()
+
+    # Metadata rows first: stable names so lanes line up across exports.
+    events = [
+        _meta(CPU_PID, 0, "process_name", {"name": "cpu (simulated threads)"}),
+        _meta(HW_PID, 0, "process_name", {"name": "hw (validation pipeline)"}),
+    ]
+    for (pid, lane), (chrome_pid, tid) in sorted(
+        lane_ids.items(), key=lambda item: item[1]
+    ):
+        name = f"thread {lane}" if pid == "cpu" else str(lane)
+        events.append(_meta(chrome_pid, tid, "thread_name", {"name": name}))
     events.extend(row[5] for row in rows)
 
     return {
@@ -146,9 +153,17 @@ def _meta(pid: int, tid: int, name: str, args: dict) -> dict:
 
 
 def write_chrome_trace(path, tracer: SpanTracer, **meta) -> dict:
-    """Serialize :func:`chrome_trace_payload` to *path*; returns it."""
+    """Serialize :func:`chrome_trace_payload` to *path*; returns it.
+
+    The file is one compact JSON object with sorted keys, written one
+    trace event per line (``traceEvents`` sorts last), so it can be
+    grepped and diffed line by line.
+    """
     payload = chrome_trace_payload(tracer, **meta)
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    head = encode({k: v for k, v in payload.items() if k != "traceEvents"})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(head[:-1] + ',"traceEvents":[\n')
+        fh.write(",\n".join(map(encode, payload["traceEvents"])))
+        fh.write("\n]}\n")
     return payload

@@ -22,7 +22,7 @@ never wall-clock readings (the determinism contract, DESIGN.md).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 #: default latency buckets (simulated ns): 100 ns .. ~0.4 ms, doubling.
 LATENCY_BOUNDS_NS = (
@@ -57,8 +57,10 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     @property
     def mean(self) -> float:
@@ -200,10 +202,13 @@ class MetricsCollector:
         self._attempt_start: Dict[int, float] = {}
         self._attempt_index: Dict[int, int] = {}
         self._park_start: Dict[int, float] = {}
+        #: kind -> bound ``_on_<kind>`` handler, built by :meth:`install`.
+        self._handlers: Dict[str, Callable] = {}
         self._bus = None
 
     # ------------------------------------------------------------------
     def install(self, bus) -> None:
+        self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in self.KINDS}
         bus.subscribe(self._on_event, kinds=self.KINDS)
         self._bus = bus
 
@@ -221,91 +226,107 @@ class MetricsCollector:
 
     # ------------------------------------------------------------------
     def _on_event(self, event) -> None:
+        self._handlers[event.kind](event)
+
+    def _on_begin(self, event) -> None:
+        self._attempt_start[event.tid] = (
+            event.start if event.start is not None else event.time
+        )
+        self._attempt_index[event.tid] = event.attempt_index
+        self.registry.count("txn.begins")
+
+    def _on_commit(self, event) -> None:
         reg = self.registry
-        kind = event.kind
-        if kind == "begin":
-            self._attempt_start[event.tid] = (
-                event.start if event.start is not None else event.time
-            )
-            self._attempt_index[event.tid] = event.attempt_index
-            reg.count("txn.begins")
-        elif kind == "commit":
-            started = self._attempt_start.pop(event.tid, event.time)
-            reg.count("txn.commits")
-            reg.observe("txn.commit_latency_ns", event.time - started)
-            attempts = self._attempt_index.pop(event.tid, 1)
-            reg.observe("txn.attempts", attempts, RETRY_BOUNDS)
-            if attempts > 1:
-                reg.count("txn.retried_commits")
-        elif kind == "abort":
-            self._attempt_start.pop(event.tid, None)
-            reg.count("txn.aborts")
-            reg.count(f"txn.aborts.{event.cause}")
-            reg.observe("txn.wasted_ns", event.wasted)
-        elif kind == "park":
-            self._park_start[event.tid] = event.time
-            reg.count("txn.parks")
-        elif kind == "wake":
-            started = self._park_start.pop(event.tid, None)
-            if started is not None:
-                reg.observe("txn.parked_ns", event.time - started)
-        elif kind == "backoff":
-            reg.count("txn.backoffs")
-            reg.observe("txn.backoff_ns", event.ns)
-        elif kind == "validate":
-            data = event.data
-            reg.count("hw.validations")
-            reg.count(f"hw.mode.{data['mode']}")
-            if not data["committed"]:
-                reg.count("hw.validation_aborts")
-            reg.observe("hw.validation_ns", data["ready_ns"] - data["sent_ns"])
-            reg.observe("hw.queue_ns", data["started_ns"] - data["arrived_ns"])
-            reg.observe(
-                "hw.window_occupancy", data["window_resident"], OCCUPANCY_BOUNDS
-            )
-            reg.observe(
-                "hw.occupancy_cycles", data["occupancy_cycles"], OCCUPANCY_BOUNDS
-            )
-            reg.gauge("hw.window_resident", data["window_resident"])
-        elif kind == "mask_cache":
-            # One per backend instance at end of run; counters add
-            # across shards, the store-size gauge combines by max.
-            data = event.data
-            reg.count("hw.mask_cache.hits", data["hits"])
-            reg.count("hw.mask_cache.misses", data["misses"])
-            reg.gauge("hw.mask_cache.entries", data["entries"])
-        elif kind == "route":
-            # Emitted only on *successful* cluster commits, keyed by
-            # the owning (single-shard) or home (cross-shard) shard.
-            data = event.data
-            if data["cross"]:
-                reg.count("shard.cross_commits")
-            else:
-                reg.count("shard.single_commits")
-            reg.count(f"shard.commits.{data['shard']}")
-        elif kind == "xshard":
-            data = event.data
-            if not data["committed"]:
-                reg.count("shard.cross_aborts")
-            reg.observe("shard.involved", data["involved"], OCCUPANCY_BOUNDS)
-            reg.observe("shard.prepare_ns", data["decided_ns"] - data["sent_ns"])
-        elif kind == "shard_open":
-            if event.data["shard"] != event.data["home"]:
-                reg.count("shard.remote_opens")
-        elif kind == "fault":
-            reg.count(f"fault.{event.data['kind']}", event.data["count"])
-        elif kind == "failover":
-            reg.count("ladder.failovers")
-        elif kind == "failback":
-            reg.count("ladder.failbacks")
-        elif kind == "sched":
-            data = event.data
-            reg.count("sched.picks", data["picks"])
-            reg.count("sched.pushes", data["pushes"])
-            reg.count("sched.stale_pops", data["stale_pops"])
-            reg.count("sched.wakes", data["wakes"])
-            reg.count("sched.wakes_coalesced", data["wakes_coalesced"])
-            reg.gauge("sched.heap_high_water", data["heap_high_water"])
-            reg.gauge(
-                "sched.lazy_invalidation_ratio", data["lazy_invalidation_ratio"]
-            )
+        started = self._attempt_start.pop(event.tid, event.time)
+        reg.count("txn.commits")
+        reg.observe("txn.commit_latency_ns", event.time - started)
+        attempts = self._attempt_index.pop(event.tid, 1)
+        reg.observe("txn.attempts", attempts, RETRY_BOUNDS)
+        if attempts > 1:
+            reg.count("txn.retried_commits")
+
+    def _on_abort(self, event) -> None:
+        reg = self.registry
+        self._attempt_start.pop(event.tid, None)
+        reg.count("txn.aborts")
+        reg.count(f"txn.aborts.{event.cause}")
+        reg.observe("txn.wasted_ns", event.wasted)
+
+    def _on_park(self, event) -> None:
+        self._park_start[event.tid] = event.time
+        self.registry.count("txn.parks")
+
+    def _on_wake(self, event) -> None:
+        started = self._park_start.pop(event.tid, None)
+        if started is not None:
+            self.registry.observe("txn.parked_ns", event.time - started)
+
+    def _on_backoff(self, event) -> None:
+        reg = self.registry
+        reg.count("txn.backoffs")
+        reg.observe("txn.backoff_ns", event.ns)
+
+    def _on_validate(self, event) -> None:
+        reg = self.registry
+        data = event.data
+        reg.count("hw.validations")
+        reg.count(f"hw.mode.{data['mode']}")
+        if not data["committed"]:
+            reg.count("hw.validation_aborts")
+        reg.observe("hw.validation_ns", data["ready_ns"] - data["sent_ns"])
+        reg.observe("hw.queue_ns", data["started_ns"] - data["arrived_ns"])
+        reg.observe("hw.window_occupancy", data["window_resident"], OCCUPANCY_BOUNDS)
+        reg.observe("hw.occupancy_cycles", data["occupancy_cycles"], OCCUPANCY_BOUNDS)
+        reg.gauge("hw.window_resident", data["window_resident"])
+
+    def _on_mask_cache(self, event) -> None:
+        # One per backend instance at end of run; counters add across
+        # shards, the store-size gauge combines by max.
+        reg = self.registry
+        data = event.data
+        reg.count("hw.mask_cache.hits", data["hits"])
+        reg.count("hw.mask_cache.misses", data["misses"])
+        reg.gauge("hw.mask_cache.entries", data["entries"])
+
+    def _on_route(self, event) -> None:
+        # Emitted only on *successful* cluster commits, keyed by the
+        # owning (single-shard) or home (cross-shard) shard.
+        reg = self.registry
+        data = event.data
+        if data["cross"]:
+            reg.count("shard.cross_commits")
+        else:
+            reg.count("shard.single_commits")
+        reg.count(f"shard.commits.{data['shard']}")
+
+    def _on_xshard(self, event) -> None:
+        reg = self.registry
+        data = event.data
+        if not data["committed"]:
+            reg.count("shard.cross_aborts")
+        reg.observe("shard.involved", data["involved"], OCCUPANCY_BOUNDS)
+        reg.observe("shard.prepare_ns", data["decided_ns"] - data["sent_ns"])
+
+    def _on_shard_open(self, event) -> None:
+        if event.data["shard"] != event.data["home"]:
+            self.registry.count("shard.remote_opens")
+
+    def _on_fault(self, event) -> None:
+        self.registry.count(f"fault.{event.data['kind']}", event.data["count"])
+
+    def _on_failover(self, event) -> None:
+        self.registry.count("ladder.failovers")
+
+    def _on_failback(self, event) -> None:
+        self.registry.count("ladder.failbacks")
+
+    def _on_sched(self, event) -> None:
+        reg = self.registry
+        data = event.data
+        reg.count("sched.picks", data["picks"])
+        reg.count("sched.pushes", data["pushes"])
+        reg.count("sched.stale_pops", data["stale_pops"])
+        reg.count("sched.wakes", data["wakes"])
+        reg.count("sched.wakes_coalesced", data["wakes_coalesced"])
+        reg.gauge("sched.heap_high_water", data["heap_high_water"])
+        reg.gauge("sched.lazy_invalidation_ratio", data["lazy_invalidation_ratio"])

@@ -28,7 +28,7 @@ are simulated nanoseconds; the tracer never reads a wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: hw pseudo-thread lanes, in display order.
 HW_STAGES = ("link-req", "queue", "detector", "manager", "link-resp")
@@ -117,11 +117,15 @@ class SpanTracer:
         #: charge the thread for a verdict it acts on immediately).
         self._pending_validate: Dict[int, List[_OpenSpan]] = {}
         self._max_ns = 0.0
+        #: kind -> bound ``_on_<kind>`` handler, built by :meth:`install`
+        #: for exactly the kinds it subscribes.
+        self._handlers: Dict[str, Callable] = {}
         self._bus = None
 
     # ------------------------------------------------------------------
     def install(self, bus) -> None:
         kinds = self.BASE_KINDS + (self.DETAIL_KINDS if self.detail else ())
+        self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in kinds}
         bus.subscribe(self._on_event, kinds=kinds)
         self._bus = bus
 
@@ -168,10 +172,9 @@ class SpanTracer:
 
     # ------------------------------------------------------------------
     def _on_event(self, event) -> None:
-        self._max_ns = max(self._max_ns, event.time)
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event)
+        if event.time > self._max_ns:
+            self._max_ns = event.time
+        self._handlers[event.kind](event)
 
     def _on_begin(self, event) -> None:
         tid = event.tid
@@ -309,7 +312,8 @@ class SpanTracer:
                 _name(stage, label), "hw", "hw", lane, start, end,
                 args=stage_args,
             )
-        self._max_ns = max(self._max_ns, data["ready_ns"])
+        if data["ready_ns"] > self._max_ns:
+            self._max_ns = data["ready_ns"]
 
     def _on_xshard(self, event) -> None:
         """One ``2pc`` child span on the coordinator thread's cpu lane,

@@ -38,8 +38,8 @@ Design constraints:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from dataclasses import FrozenInstanceError
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set
 
 from repro.analysis import registry as _registry
 
@@ -54,9 +54,16 @@ from repro.analysis import registry as _registry
 EVENT_KINDS = _registry.EVENT_KINDS
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One state transition at one simulated instant."""
+class SimEvent(NamedTuple):
+    """One state transition at one simulated instant.
+
+    A record built on every commit and abort of every run (and on every
+    operation of a traced one), so it is a ``NamedTuple``: one tuple
+    allocation, where a frozen dataclass paid one ``object.__setattr__``
+    per field.  Immutable by construction; :meth:`__setattr__` raises
+    ``FrozenInstanceError`` as the frozen dataclass did.  Hot emitters
+    may build it positionally, in field order.
+    """
 
     kind: str
     #: simulated thread id (-1 for non-thread actors, e.g. trace
@@ -94,6 +101,9 @@ class SimEvent:
     #: failover/failback); simulated-time values only, never wall
     #: clock (see docs/OBSERVABILITY.md).
     data: Optional[dict] = None
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 class EventBus:

@@ -354,14 +354,13 @@ class Simulator:
                     self.backend.begin, thread.tid, thread.clock
                 )
                 if "begin" in bus.wanted:
+                    # Positional, in field order: label, attempt_index,
+                    # start (a keyword call costs half as much again).
                     bus.emit(
                         SimEvent(
-                            "begin",
-                            thread.tid,
-                            thread.clock,
-                            label=txn.label,
-                            attempt_index=txn.attempt,
-                            start=txn.attempt_start,
+                            "begin", thread.tid, thread.clock, None, None, None,
+                            txn.label, txn.attempt, 0.0, True, 0.0, None, None,
+                            txn.attempt_start,
                         )
                     )
                 return
@@ -436,7 +435,7 @@ class Simulator:
         thread.clock = ready
         thread.txn.body_value = value
         if "read" in bus.wanted:
-            bus.emit(SimEvent("read", thread.tid, ready, addr=op.addr, value=value))
+            bus.emit(SimEvent("read", thread.tid, ready, op.addr, value))
 
     def _op_write(self, thread: _Thread, op: Write) -> None:
         bus = self.bus
@@ -448,11 +447,7 @@ class Simulator:
         finally:
             bus.in_backend = False
         if "write" in bus.wanted:
-            bus.emit(
-                SimEvent(
-                    "write", thread.tid, thread.clock, addr=op.addr, value=op.value
-                )
-            )
+            bus.emit(SimEvent("write", thread.tid, thread.clock, op.addr, op.value))
 
     def _op_work(self, thread: _Thread, op: Work) -> None:
         thread.clock += op.ns * self._work_scale[thread.tid]
@@ -482,13 +477,11 @@ class Simulator:
         txn = thread.txn
         if aborted.at_ns is not None:
             thread.clock = max(thread.clock, aborted.at_ns)
+        # Positional, in field order: cause, then wasted.
         self.bus.emit(
             SimEvent(
-                "abort",
-                thread.tid,
-                thread.clock,
-                cause=aborted.cause,
-                wasted=thread.clock - txn.attempt_start,
+                "abort", thread.tid, thread.clock, None, None, aborted.cause,
+                None, 0, thread.clock - txn.attempt_start,
             )
         )
         thread.clock = self._hook(

@@ -64,6 +64,13 @@ class TestScoping:
         assert analyze_source(source, "src/repro/cc/views.py", RULES)
         assert analyze_source(source, "src/repro/plots.py", RULES) == []
 
+    def test_tm004_accepts_namedtuple_records(self):
+        source = (
+            "from typing import NamedTuple\n\n"
+            "class StepEvent(NamedTuple):\n    kind: str\n"
+        )
+        assert analyze_source(source, "src/repro/runtime/events.py", RULES) == []
+
     def test_tm003_declaration_silences(self):
         bad = (
             "class CountingBackend:\n"

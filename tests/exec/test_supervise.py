@@ -7,6 +7,8 @@ uninterrupted one.
 """
 
 import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -115,6 +117,31 @@ class TestCrashRecovery:
         assert len(retry) == 1
         assert retry[0].lane == "supervisor"
         assert retry[0].args["kind"] == "crash"
+
+
+class TestIdleWorkerDeath:
+    @needs_processes
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    @pytest.mark.parametrize("max_retries", [2, 0])
+    def test_killing_idle_workers_costs_no_attempt(self, max_retries):
+        """The slot's worker is SIGKILLed while idle after every cell,
+        right before the next launch, so it often still reads as alive
+        when that cell is sent.  Its EOF arrives before the cell is
+        acknowledged: the slot is respawned and the cell resent, with
+        no crash charged and no retry, even with no retries allowed."""
+
+        def kill_idle_workers(_line):
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+
+        policy = SupervisorPolicy(timeout_s=120.0, max_retries=max_retries)
+        runner = SupervisedRunner(max_workers=1, policy=policy)
+        results = runner.run(MINI_GRID, progress=kill_idle_workers)
+        assert _dicts(results) == _dicts(SerialRunner().run(MINI_GRID))
+        counters = runner.metrics.snapshot()["counters"]
+        assert counters.get("runner.failures.crash", 0) == 0
+        assert runner.retries == 0
+        assert not runner.quarantined
 
 
 class TestHangDetection:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import chrome_trace_payload, observe_stamp
+from repro.obs import chrome_trace_payload, observe_stamp, write_chrome_trace
 from repro.runtime import RococoTMBackend
 from repro.stamp import VacationWorkload
 
@@ -128,3 +128,22 @@ class TestDeterminism:
         )
         payload = chrome_trace_payload(tracer, workload="vacation", seed=9)
         assert payload["otherData"] == {"workload": "vacation", "seed": 9}
+
+
+class TestTraceFile:
+    def test_file_loads_back_to_the_payload_one_event_per_line(self, tmp_path):
+        _, tracer, _ = observe_stamp(
+            VacationWorkload, RococoTMBackend(), 2, scale=0.2, seed=1
+        )
+        out = tmp_path / "t.json"
+        payload = write_chrome_trace(out, tracer, workload="vacation", seed=1)
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh) == payload
+        lines = out.read_text(encoding="utf-8").splitlines()
+        events = payload["traceEvents"]
+        assert len(lines) == len(events) + 2
+        for line, event in zip(lines[1:], events):
+            assert json.loads(line.rstrip(",")) == event
+            assert line.rstrip(",") == json.dumps(
+                event, sort_keys=True, separators=(",", ":")
+            )

@@ -181,3 +181,13 @@ class TestCollector:
         collector.install(bus)
         collector.detach()
         assert bus._by_kind == {}
+
+    def test_every_subscribed_kind_has_a_handler(self):
+        from repro.runtime.events import EventBus
+
+        bus = EventBus()
+        collector = MetricsCollector()
+        collector.install(bus)
+        assert set(collector._handlers) == set(bus._by_kind) == set(collector.KINDS)
+        for kind, handler in collector._handlers.items():
+            assert handler.__name__ == f"_on_{kind}"

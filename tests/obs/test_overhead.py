@@ -48,9 +48,10 @@ class TestZeroEventConstruction:
         constructed = []
 
         class CountingEvent(SimEvent):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                constructed.append(self.kind)
+            def __new__(cls, *args, **kwargs):
+                event = super().__new__(cls, *args, **kwargs)
+                constructed.append(event.kind)
+                return event
 
         monkeypatch.setattr(sim_mod, "SimEvent", CountingEvent)
         memory = Memory()
@@ -66,9 +67,10 @@ class TestZeroEventConstruction:
         constructed = []
 
         class CountingEvent(SimEvent):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                constructed.append(self.kind)
+            def __new__(cls, *args, **kwargs):
+                event = super().__new__(cls, *args, **kwargs)
+                constructed.append(event.kind)
+                return event
 
         monkeypatch.setattr(sim_mod, "SimEvent", CountingEvent)
         memory = Memory()
@@ -92,9 +94,10 @@ class TestStepLoopOverhead:
         emitted = Counter()
 
         class CountingEvent(SimEvent):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                constructed[self.kind] += 1
+            def __new__(cls, *args, **kwargs):
+                event = super().__new__(cls, *args, **kwargs)
+                constructed[event.kind] += 1
+                return event
 
         emit = EventBus.emit
 

@@ -207,3 +207,15 @@ class TestTracerMechanics:
         assert bus.wants("read")
         tracer.detach()
         assert bus._by_kind == {}
+
+    @pytest.mark.parametrize("detail", [True, False])
+    def test_every_subscribed_kind_has_a_handler(self, detail):
+        from repro.runtime.events import EventBus
+
+        bus = EventBus()
+        tracer = SpanTracer(detail=detail)
+        tracer.install(bus)
+        assert set(tracer._handlers) == set(bus._by_kind)
+        assert ("read" in tracer._handlers) is detail
+        for kind, handler in tracer._handlers.items():
+            assert handler.__name__ == f"_on_{kind}"

@@ -138,9 +138,10 @@ class TestUnsubscribe:
         constructed = []
 
         class CountingEvent(SimEvent):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                constructed.append(self.kind)
+            def __new__(cls, *args, **kwargs):
+                event = super().__new__(cls, *args, **kwargs)
+                constructed.append(event.kind)
+                return event
 
         def run_once(subscribe_then_detach):
             memory = Memory()
